@@ -14,12 +14,11 @@ import click
 
 from . import io
 from .errors import WeakIasiError
-from .graph import Graph, degree_stats, named_graph
+from .graph import Graph, degree_stats, named_catalog, named_graph
 from .labeling import verify_iasi
 from .oracle import cross_validate
 from .solvers import max_bipartite_subgraph, sparing_number_exact
 from .theorems import run_all_checkers
-from .graph import named_catalog
 
 
 def _graph_options(fn):
@@ -36,7 +35,6 @@ def _graph_options(fn):
 
 
 def _common_options(fn):
-    fn = click.option("--threads", type=int, default=None, help="Worker thread bound (default: CPU count).")(fn)
     fn = click.option("--json-indent", "json_indent", type=int, default=2, help="JSON indent; 0 for compact.")(fn)
     return fn
 
@@ -82,7 +80,7 @@ def main():
 @click.option("--labeling", "include_labeling", is_flag=True, help="Include the realizing labeling in the report.")
 @click.option("--dot", "dot_path", type=click.Path(dir_okay=False), default=None, help="Write DOT with mono edges classed.")
 @_common_options
-def cmd_sparing(named, param, graph_path, include_labeling, dot_path, threads, json_indent):
+def cmd_sparing(named, param, graph_path, include_labeling, dot_path, json_indent):
     """Exact sparing number plus the edge bipartization number, with mismatch flag."""
     t0 = time.perf_counter()
     try:
@@ -123,14 +121,13 @@ def cmd_sparing(named, param, graph_path, include_labeling, dot_path, threads, j
 @main.command("check-theorems")
 @_graph_options
 @_common_options
-def cmd_check(named, param, graph_path, threads, json_indent):
+def cmd_check(named, param, graph_path, json_indent):
     """Run every applicable relation checker on one graph."""
     t0 = time.perf_counter()
     try:
         graph, label = _resolve_graph(named, param, graph_path)
         t1 = time.perf_counter()
-        workers = threads if threads else (os.cpu_count() or 1)
-        reports = run_all_checkers(graph, max_workers=workers)
+        reports = run_all_checkers(graph)
         t2 = time.perf_counter()
     except (WeakIasiError, ValueError) as exc:
         raise click.ClickException(str(exc)) from None
@@ -150,9 +147,8 @@ def cmd_check(named, param, graph_path, threads, json_indent):
 
 
 @main.command("named")
-@click.option("--list", "show_list", is_flag=True, default=False, help="List the corpus (default action).")
 @_common_options
-def cmd_named(show_list, threads, json_indent):
+def cmd_named(json_indent):
     """Catalog of built-in graphs and families."""
     catalog = named_catalog()
     _emit(
@@ -165,7 +161,7 @@ def cmd_named(show_list, threads, json_indent):
 @main.command("oracle")
 @_graph_options
 @_common_options
-def cmd_oracle(named, param, graph_path, threads, json_indent):
+def cmd_oracle(named, param, graph_path, json_indent):
     """Brute-force sparing number (n <= 7) cross-validated against the solver."""
     t0 = time.perf_counter()
     try:
@@ -194,7 +190,7 @@ def cmd_oracle(named, param, graph_path, threads, json_indent):
 @click.option("--graph", "graph_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--labeling", "labeling_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @_common_options
-def cmd_verify(graph_path, labeling_path, threads, json_indent):
+def cmd_verify(graph_path, labeling_path, json_indent):
     """Verify a user-supplied labeling against a graph."""
     t0 = time.perf_counter()
     try:

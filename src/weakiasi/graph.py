@@ -3,7 +3,7 @@
 Vertex ids are dense integers ``0..n-1``; an optional name map attaches
 human-readable aliases for reports. Every graph is validated on construction
 (no loops, no parallel edges, no isolated vertices) and never mutated
-afterwards, so instances are safe to share across threads. Edge deletion
+afterwards, so instances are safe to share between callers. Edge deletion
 produces a new graph.
 """
 
@@ -95,6 +95,11 @@ def build_graph(
             raise InvalidEdgeError(e[0], e[1], "duplicate edge")
         seen.add(e)
         normalized.append(e)
+    if n > 2 * len(normalized):
+        # m edges touch at most 2m vertices; name the first untouched one
+        # without allocating per vertex, since n may come from hostile input
+        touched = {v for e in normalized for v in e}
+        raise IsolatedVertexError(next(v for v in range(n) if v not in touched))
     normalized.sort()
     adj = [0] * n
     for u, v in normalized:
@@ -382,10 +387,11 @@ def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> tuple[Graph, tupl
 
 def remove_edges(graph: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
     """New graph without the given edges; removing an absent edge is an error."""
+    present = set(graph.edges)
     doomed = set()
     for u, v in edges:
         e = (u, v) if u < v else (v, u)
-        if e not in set(graph.edges):
+        if e not in present:
             raise InvalidEdgeError(u, v, "edge not present in graph")
         doomed.add(e)
     return build_graph(graph.n, [e for e in graph.edges if e not in doomed], graph.names)

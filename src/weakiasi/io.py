@@ -57,10 +57,16 @@ def graph_from_json_dict(data: Mapping) -> Graph:
     if not isinstance(data, Mapping):
         raise ValueError("graph JSON must be an object")
     try:
-        n = int(data["n"])
-        edges = [(int(u), int(v)) for u, v in data["edges"]]
+        n = data["n"]
+        edges = [(u, v) for u, v in data["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f'graph JSON needs "n" and "edges": {exc}') from None
+    # type() rather than isinstance(): JSON true/false decode to bool, a subclass of int
+    if type(n) is not int:
+        raise ValueError(f'graph JSON "n" must be an integer, got {n!r}')
+    for u, v in edges:
+        if type(u) is not int or type(v) is not int:
+            raise ValueError(f"graph JSON edge endpoints must be integers, got {[u, v]!r}")
     names = data.get("names")
     if names is not None and not isinstance(names, Mapping):
         raise ValueError('graph JSON "names" must be an object')

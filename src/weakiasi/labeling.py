@@ -71,9 +71,15 @@ class IasiLabeling:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "IasiLabeling":
+        if not isinstance(data, Mapping):
+            raise ValueError("labeling JSON must be an object")
         raw = data.get("vertex_labels")
         if not isinstance(raw, Mapping):
             raise ValueError('labeling JSON must contain a "vertex_labels" object')
+        for k, v in raw.items():
+            # type() rather than isinstance(): JSON true/false decode to bool, a subclass of int
+            if not isinstance(v, list) or not all(type(x) is int for x in v):
+                raise ValueError(f"label of vertex {k} must be a list of integers, got {v!r}")
         return cls({int(k): v for k, v in raw.items()})
 
 

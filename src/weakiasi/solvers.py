@@ -20,9 +20,6 @@ from .labeling import IasiLabeling, construct_labeling
 SOLVER_VERTEX_LIMIT = 32
 MATCHING_VERTEX_LIMIT = 24
 
-# exhaustive Gray-code sweep up to here, branch and bound beyond
-_SWEEP_VERTEX_LIMIT = 22
-
 
 def _bits(mask: int):
     while mask:
@@ -141,15 +138,15 @@ def max_bipartite_subgraph(graph: Graph) -> BipartizationCertificate:
 
     Removed edges are the non-crossing edges of the optimal bipartition, so
     ``b + len(removed_edges) == m`` and the remaining graph is bipartite with
-    the reported parts. Per component the whole 2^(k-1) assignment space is
-    swept in Gray-code order with O(1) cut updates (branch and bound above 22
-    vertices); among optimal cuts the lexicographically smallest removed-edge
-    list wins.
+    the reported parts. Per component a depth-first branch and bound places
+    vertices in id order, with vertex 0 fixed on side 0, and prunes when the
+    cut so far plus every edge not yet decided cannot reach the incumbent;
+    among optimal cuts the lexicographically smallest removed-edge list wins.
     """
     _require(graph, SOLVER_VERTEX_LIMIT, "max-cut solver")
     side1: set[int] = set()
     for sub, back in _per_component(graph):
-        mask = _max_cut_mask(sub)
+        mask = _max_cut_branch_bound(sub)
         side1.update(back[i] for i in _bits(mask))
     removed = tuple(e for e in graph.edges if (e[0] in side1) == (e[1] in side1))
     part1 = tuple(sorted(side1))
@@ -166,43 +163,6 @@ def bipartization_number(graph: Graph) -> int:
 
 def _removed_for(graph: Graph, side1: int) -> list[Edge]:
     return [e for e in graph.edges if not ((side1 >> e[0]) ^ (side1 >> e[1])) & 1]
-
-
-def _max_cut_mask(graph: Graph) -> int:
-    if graph.n <= 1:
-        return 0
-    if graph.n <= _SWEEP_VERTEX_LIMIT:
-        return _max_cut_sweep(graph)
-    return _max_cut_branch_bound(graph)
-
-
-def _max_cut_sweep(graph: Graph) -> int:
-    n, adj = graph.n, graph.adj
-    full = (1 << n) - 1
-    degrees = [a.bit_count() for a in adj]
-    side1 = 0
-    cut = 0
-    best_cut = 0
-    best_side = 0
-    best_removed = list(graph.edges)
-    # vertex 0 stays on side 0; Gray code flips one of 1..n-1 per step
-    for step in range(1, 1 << (n - 1)):
-        v = (step & -step).bit_length()
-        bit = 1 << v
-        if side1 & bit:
-            crossing = (adj[v] & (full ^ side1)).bit_count()
-        else:
-            crossing = (adj[v] & side1).bit_count()
-        cut += degrees[v] - 2 * crossing
-        side1 ^= bit
-        if cut > best_cut:
-            best_cut, best_side = cut, side1
-            best_removed = _removed_for(graph, side1)
-        elif cut == best_cut:
-            candidate = _removed_for(graph, side1)
-            if candidate < best_removed:
-                best_side, best_removed = side1, candidate
-    return best_side
 
 
 def _max_cut_branch_bound(graph: Graph) -> int:

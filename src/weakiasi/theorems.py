@@ -8,7 +8,6 @@ relation is data, not an error.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -291,13 +290,6 @@ GRAPH_CHECKERS = (
 )
 
 
-def run_all_checkers(graph: Graph, max_workers: int | None = None) -> tuple[TheoremReport, ...]:
-    """Run every single-graph checker; checkers are pure, so they may run concurrently.
-
-    Results come back in the fixed checker order regardless of worker count.
-    """
-    if max_workers and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(checker, graph) for checker in GRAPH_CHECKERS]
-            return tuple(f.result() for f in futures)
+def run_all_checkers(graph: Graph) -> tuple[TheoremReport, ...]:
+    """Run every single-graph checker, returning reports in ``GRAPH_CHECKERS`` order."""
     return tuple(checker(graph) for checker in GRAPH_CHECKERS)

@@ -63,6 +63,24 @@ def brute_max_cut(g: Graph) -> int:
     return best
 
 
+def brute_max_cut_certificate(g: Graph):
+    """(b, removed_edges, bipartition) by trying all 2^(n-1) bipartitions.
+
+    Vertex 0 stays on side 0; among maximum cuts the lexicographically
+    smallest removed-edge list wins, the tie rule the solver documents.
+    """
+    best = None
+    for mask in range(1 << max(g.n - 1, 0)):
+        side1 = mask << 1
+        removed = [(u, v) for u, v in g.edges if not ((side1 >> u) ^ (side1 >> v)) & 1]
+        if best is None or (len(removed), removed) < (len(best[0]), best[0]):
+            best = (removed, side1)
+    removed, side1 = best
+    part0 = tuple(v for v in range(g.n) if not side1 >> v & 1)
+    part1 = tuple(v for v in range(g.n) if side1 >> v & 1)
+    return g.m - len(removed), tuple(removed), (part0, part1)
+
+
 def brute_matching(g: Graph) -> int:
     edges = g.edges
 

@@ -2,11 +2,12 @@ import json
 
 import pytest
 
-from weakiasi import IasiLabeling, build_graph, named_graph
+from weakiasi import IasiLabeling, InvalidEdgeError, IsolatedVertexError, build_graph, named_graph
 from weakiasi.io import (
     dump_edge_list,
     dump_graph_json,
     dump_labeling_json,
+    graph_from_json_dict,
     load_graph_text,
     parse_edge_list,
     parse_graph_json,
@@ -61,6 +62,39 @@ def test_graph_json_validation():
         parse_graph_json('{"n": 2, "edges": [[0, 1]], "names": 7}')
 
 
+@pytest.mark.parametrize("n", ["2.5", "true", '"2"', "null"])
+def test_graph_json_n_must_be_an_integer(n):
+    with pytest.raises(ValueError, match='"n" must be an integer'):
+        parse_graph_json(f'{{"n": {n}, "edges": [[0, 1]]}}')
+
+
+@pytest.mark.parametrize("endpoint", ["0.9", "true", '"0"', "null"])
+def test_graph_json_edge_endpoints_must_be_integers(endpoint):
+    with pytest.raises(ValueError, match="endpoints must be integers"):
+        parse_graph_json(f'{{"n": 2, "edges": [[{endpoint}, 1]]}}')
+
+
+HUGE = 10**12
+
+
+@pytest.mark.parametrize(
+    "load",
+    [
+        lambda edges: build_graph(HUGE, edges),
+        lambda edges: parse_edge_list(f"{HUGE} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)),
+        lambda edges: graph_from_json_dict({"n": HUGE, "edges": edges}),
+    ],
+    ids=["build_graph", "parse_edge_list", "graph_from_json_dict"],
+)
+def test_huge_vertex_count_fails_before_allocating(load):
+    # n > 2m always leaves a vertex untouched; [0] * n here would need terabytes
+    with pytest.raises(IsolatedVertexError) as exc:
+        load([(0, 2)])
+    assert exc.value.vertex == 1
+    with pytest.raises(InvalidEdgeError):
+        load([(0, 1), (3, 3)])
+
+
 def test_autodetect():
     g = named_graph("durer")
     assert load_graph_text(dump_graph_json(g)).edges == g.edges
@@ -89,3 +123,20 @@ def test_labeling_json_validation():
         parse_labeling_json('{"labels": {}}')
     with pytest.raises(ValueError):
         parse_labeling_json('{"vertex_labels": {"0": []}}')
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1]",
+        '"labels"',
+        '{"vertex_labels": {"0": 5}}',
+        '{"vertex_labels": {"0": [null]}}',
+        '{"vertex_labels": {"0": [1.5]}}',
+        '{"vertex_labels": {"0": [true]}}',
+        '{"vertex_labels": {"0": "12"}}',
+    ],
+)
+def test_malformed_labeling_json_is_value_error(text):
+    with pytest.raises(ValueError):
+        parse_labeling_json(text)

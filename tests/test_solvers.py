@@ -23,14 +23,15 @@ from weakiasi import (
     vertex_cover_number,
     verify_iasi,
 )
-from weakiasi.solvers import _max_cut_branch_bound, _max_cut_sweep, _removed_for
 
 from helpers import (
+    all_connected_graphs,
     bowtie,
     brute_alpha,
     brute_is_k_colorable,
     brute_matching,
     brute_max_cut,
+    brute_max_cut_certificate,
     brute_min_mono,
     covers_all_edges,
     has_triangle,
@@ -152,15 +153,15 @@ class TestMaxCut:
             g = random_connected_graph(rng, rng.randint(2, 10))
             assert max_bipartite_subgraph(g).b == brute_max_cut(g)
 
-    def test_sweep_and_branch_bound_agree(self):
+    def test_certificate_matches_exhaustive_search(self):
         rng = random.Random(909)
-        for _ in range(20):
-            g = random_connected_graph(rng, rng.randint(3, 9))
-            sweep_side = _max_cut_sweep(g)
-            bnb_side = _max_cut_branch_bound(g)
-            assert _removed_for(g, sweep_side) == _removed_for(g, bnb_side)
+        graphs = [g for n in range(2, 6) for g in all_connected_graphs(n)]
+        graphs += [random_connected_graph(rng, rng.randint(6, 10)) for _ in range(20)]
+        for g in graphs:
+            cert = max_bipartite_subgraph(g)
+            assert (cert.b, cert.removed_edges, cert.bipartition) == brute_max_cut_certificate(g)
 
-    def test_branch_bound_path_used_above_sweep_limit(self):
+    def test_odd_cycle_above_22_vertices(self):
         cert = max_bipartite_subgraph(cycle_graph(23))
         assert cert.b == 22
         assert cert.removed_edges == ((0, 1),)

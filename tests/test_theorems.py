@@ -1,6 +1,7 @@
 import pytest
 
 from weakiasi import (
+    GRAPH_CHECKERS,
     build_graph,
     check_bipartization_theorem,
     check_chi_phi_gap,
@@ -198,9 +199,18 @@ class TestRunner:
         for report in reports:
             assert_report_self_contained(report)
 
-    def test_thread_pool_matches_serial(self):
+    def test_reports_follow_checker_order(self):
         g = named_graph("frucht")
-        assert run_all_checkers(g, max_workers=4) == run_all_checkers(g, max_workers=1)
+        reports = run_all_checkers(g)
+        assert [r.theorem for r in reports] == [
+            "chromatic-class-formula",
+            "chi-phi-gap",
+            "matching-formula",
+            "odd-cycle-decomposition",
+            "cover-independence",
+            "bipartization-equals-sparing",
+        ]
+        assert reports == tuple(checker(g) for checker in GRAPH_CHECKERS)
 
     def test_json_shape(self):
         report = check_chi_phi_gap(cycle_graph(6)).to_json_dict()
