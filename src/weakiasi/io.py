@@ -68,9 +68,13 @@ def graph_from_json_dict(data: Mapping) -> Graph:
         if type(u) is not int or type(v) is not int:
             raise ValueError(f"graph JSON edge endpoints must be integers, got {[u, v]!r}")
     names = data.get("names")
-    if names is not None and not isinstance(names, Mapping):
+    names = {} if names is None else names
+    if not isinstance(names, Mapping):
         raise ValueError('graph JSON "names" must be an object')
-    return build_graph(n, edges, {int(k): str(v) for k, v in (names or {}).items()})
+    for alias in names.values():
+        if type(alias) is not str:
+            raise ValueError(f"graph JSON names must be strings, got {alias!r}")
+    return build_graph(n, edges, {int(k): alias for k, alias in names.items()})
 
 
 def dump_graph_json(graph: Graph) -> str:
@@ -78,12 +82,17 @@ def dump_graph_json(graph: Graph) -> str:
     return json.dumps(graph_to_json_dict(graph), sort_keys=True)
 
 
-def parse_graph_json(text: str) -> Graph:
+def _parse_json(text: str):
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from None
-    return graph_from_json_dict(data)
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None
+
+
+def parse_graph_json(text: str) -> Graph:
+    return graph_from_json_dict(_parse_json(text))
 
 
 def load_graph_text(text: str) -> Graph:
@@ -107,11 +116,7 @@ def dump_labeling_json(labeling: IasiLabeling) -> str:
 
 
 def parse_labeling_json(text: str) -> IasiLabeling:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from None
-    return IasiLabeling.from_json_dict(data)
+    return IasiLabeling.from_json_dict(_parse_json(text))
 
 
 def load_labeling(path: str) -> IasiLabeling:

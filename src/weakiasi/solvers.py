@@ -7,6 +7,11 @@ lists), so identical inputs always yield identical certificates. Disconnected
 inputs are solved per connected component and combined additively (phi, b,
 nu, alpha, beta) or by maximum (chi). Inputs beyond the documented limits
 raise ``TooLargeError`` rather than degrading to heuristics.
+
+The sparing, independence and cover numbers share one search over the
+independent sets I, ``_min_cover_mask``: unit vertex costs on the cover
+C = V - I give beta = |C| and alpha = n - |C|; edge costs give
+phi = |E(G[C])|.
 """
 
 from __future__ import annotations
@@ -31,6 +36,14 @@ def _bits(mask: int):
 def _per_component(graph: Graph):
     for members in connected_components(graph):
         yield induced_subgraph(graph, members)
+
+
+def _union_per_component(graph: Graph, component_mask) -> tuple[int, ...]:
+    """Sorted original ids of the vertices ``component_mask`` picks in each component."""
+    members: list[int] = []
+    for sub, back in _per_component(graph):
+        members.extend(back[i] for i in _bits(component_mask(sub)))
+    return tuple(sorted(members))
 
 
 def _require(graph: Graph, limit: int, what: str) -> None:
@@ -71,45 +84,19 @@ def sparing_number_exact(graph: Graph) -> SparingCertificate:
 
     A weak labeling forces its non-singleton vertices to form an independent
     set, and every independent set is realizable, so the optimum is the
-    minimum over independent sets I of the number of edges avoiding I. The
-    search is a per-component depth-first branch and bound over bit-vectors
-    that prunes as soon as the edges already forced mono reach the incumbent;
-    the include-first vertex order makes the first optimum found the
-    lexicographically smallest one.
+    minimum over independent sets I of the edge count of G[V - I]. Per
+    component ``_min_cover_mask`` finds it with edge costs only: the edges
+    already inside the cover bound every completion from below, and the
+    first optimum found is the lexicographically smallest I.
     """
     _require(graph, SOLVER_VERTEX_LIMIT, "sparing solver")
-    members: list[int] = []
-    for sub, back in _per_component(graph):
-        mask = _min_mono_mask(sub)
-        members.extend(back[i] for i in _bits(mask))
-    independent = tuple(sorted(members))
+    independent = _union_per_component(graph, lambda sub: _min_cover_mask(sub, 0, sub.adj))
     inside = set(independent)
     mono = tuple(e for e in graph.edges if e[0] not in inside and e[1] not in inside)
     labeling = construct_labeling(graph, independent)
     return SparingCertificate(
         phi=len(mono), independent_set=independent, mono_edges=mono, labeling=labeling
     )
-
-
-def _min_mono_mask(graph: Graph) -> int:
-    n, adj = graph.n, graph.adj
-    best_count = graph.m + 1
-    best_mask = 0
-
-    def walk(idx: int, chosen: int, blocked: int, excluded: int, forced: int) -> None:
-        nonlocal best_count, best_mask
-        if forced >= best_count:
-            return
-        if idx == n:
-            best_count, best_mask = forced, chosen
-            return
-        bit = 1 << idx
-        if not blocked & bit:
-            walk(idx + 1, chosen | bit, blocked | adj[idx], excluded, forced)
-        walk(idx + 1, chosen, blocked, excluded | bit, forced + (adj[idx] & excluded).bit_count())
-
-    walk(0, 0, 0, 0, 0)
-    return best_mask
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +131,7 @@ def max_bipartite_subgraph(graph: Graph) -> BipartizationCertificate:
     among optimal cuts the lexicographically smallest removed-edge list wins.
     """
     _require(graph, SOLVER_VERTEX_LIMIT, "max-cut solver")
-    side1: set[int] = set()
-    for sub, back in _per_component(graph):
-        mask = _max_cut_branch_bound(sub)
-        side1.update(back[i] for i in _bits(mask))
+    side1 = set(_union_per_component(graph, _max_cut_branch_bound))
     removed = tuple(e for e in graph.edges if (e[0] in side1) == (e[1] in side1))
     part1 = tuple(sorted(side1))
     part0 = tuple(v for v in range(graph.n) if v not in side1)
@@ -333,19 +317,15 @@ def _chromatic_component(graph: Graph) -> tuple[int, list[int]]:
 
 
 def independence_number(graph: Graph) -> tuple[int, tuple[int, ...]]:
-    """Exact maximum independent set via branch and bound on bit-vectors.
+    """Exact maximum independent set, as the complement of a least cover.
 
-    The include-first ascending-id order plus strict-improvement acceptance
-    yields the lexicographically smallest maximum independent set.
+    ``_min_cover_mask`` with unit vertex costs, bounded by the vertices
+    already excluded or blocked; the witness is the lexicographically
+    smallest maximum independent set.
     """
     _require(graph, SOLVER_VERTEX_LIMIT, "independence solver")
-    alpha = 0
-    members: list[int] = []
-    for sub, back in _per_component(graph):
-        mask = _max_independent_mask(sub)
-        alpha += mask.bit_count()
-        members.extend(back[i] for i in _bits(mask))
-    return alpha, tuple(sorted(members))
+    independent = _union_per_component(graph, lambda sub: _min_cover_mask(sub, 1, (0,) * sub.n))
+    return len(independent), independent
 
 
 def vertex_cover_number(graph: Graph) -> tuple[int, tuple[int, ...]]:
@@ -357,24 +337,37 @@ def vertex_cover_number(graph: Graph) -> tuple[int, tuple[int, ...]]:
     return len(cover), cover
 
 
-def _max_independent_mask(graph: Graph) -> int:
+def _min_cover_mask(graph: Graph, vertex_cost: int, edge_adj) -> int:
+    """Independent set I (a mask) whose cover C = V - I costs least.
+
+    A vertex u joining C costs ``vertex_cost + |edge_adj[u] & C|``. The walk
+    goes include-first in ascending id; a vertex joins C when excluded, or at
+    once when a chosen neighbour blocks it, so the running cost bounds every
+    completion, ``cost >= best`` prunes, and the first optimum found is the
+    lexicographically smallest I.
+    """
     n, adj = graph.n, graph.adj
-    full = (1 << n) - 1
-    best_size = -1
-    best_mask = 0
+    best_cost = n * vertex_cost + graph.m + 1
+    best_cover = 0
 
-    def walk(idx: int, chosen: int, blocked: int, count: int) -> None:
-        nonlocal best_size, best_mask
-        available = ((full >> idx) << idx) & ~blocked
-        if count + available.bit_count() <= best_size:
+    def walk(idx: int, cover: int, cost: int) -> None:
+        nonlocal best_cost, best_cover
+        if cost >= best_cost:
             return
+        while cover >> idx & 1:
+            idx += 1
         if idx == n:
-            best_size, best_mask = count, chosen
+            best_cost, best_cover = cost, cover
             return
-        bit = 1 << idx
-        if not blocked & bit:
-            walk(idx + 1, chosen | bit, blocked | adj[idx], count + 1)
-        walk(idx + 1, chosen, blocked, count)
+        new = adj[idx] & ~cover
+        blocked, grown = cover, cost + vertex_cost * new.bit_count()
+        while new:
+            low = new & -new
+            new ^= low
+            grown += (edge_adj[low.bit_length() - 1] & blocked).bit_count()
+            blocked |= low
+        walk(idx + 1, blocked, grown)
+        walk(idx + 1, cover | 1 << idx, cost + vertex_cost + (edge_adj[idx] & cover).bit_count())
 
-    walk(0, 0, 0, 0)
-    return best_mask
+    walk(0, 0, 0)
+    return ((1 << n) - 1) & ~best_cover

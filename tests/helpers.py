@@ -120,6 +120,28 @@ def brute_alpha(g: Graph) -> int:
     return best
 
 
+def _independent_subsets(g: Graph):
+    """Every independent vertex subset as a sorted tuple, read from the edge list only."""
+    for mask in range(1 << g.n):
+        if not any(mask >> u & 1 and mask >> v & 1 for u, v in g.edges):
+            yield tuple(v for v in range(g.n) if mask >> v & 1)
+
+
+def brute_sparing_witness(g: Graph) -> tuple[int, ...]:
+    """Lexicographically smallest independent set I minimising the edges avoiding I."""
+
+    def mono(subset):
+        inside = set(subset)
+        return sum(1 for u, v in g.edges if u not in inside and v not in inside)
+
+    return min(_independent_subsets(g), key=lambda s: (mono(s), s))
+
+
+def brute_alpha_witness(g: Graph) -> tuple[int, ...]:
+    """Lexicographically smallest maximum independent set."""
+    return min(_independent_subsets(g), key=lambda s: (-len(s), s))
+
+
 def has_triangle(g: Graph) -> bool:
     return any(
         g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)

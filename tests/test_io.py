@@ -1,8 +1,16 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
-from weakiasi import IasiLabeling, InvalidEdgeError, IsolatedVertexError, build_graph, named_graph
+from weakiasi import (
+    IasiLabeling,
+    InvalidEdgeError,
+    IsolatedVertexError,
+    WeakIasiError,
+    build_graph,
+    named_graph,
+)
 from weakiasi.io import (
     dump_edge_list,
     dump_graph_json,
@@ -74,6 +82,18 @@ def test_graph_json_edge_endpoints_must_be_integers(endpoint):
         parse_graph_json(f'{{"n": 2, "edges": [[{endpoint}, 1]]}}')
 
 
+@pytest.mark.parametrize("alias", ['{"a": null}', "true", "7", "null", '["a"]'])
+def test_graph_json_names_must_be_strings(alias):
+    with pytest.raises(ValueError, match="names must be strings"):
+        parse_graph_json(f'{{"n": 2, "edges": [[0, 1]], "names": {{"0": {alias}}}}}')
+
+
+@pytest.mark.parametrize("parse", [parse_graph_json, parse_labeling_json])
+def test_deeply_nested_json_is_value_error(parse):
+    with pytest.raises(ValueError, match="nested too deeply"):
+        parse("[" * 100_000)
+
+
 HUGE = 10**12
 
 
@@ -140,3 +160,69 @@ def test_labeling_json_validation():
 def test_malformed_labeling_json_is_value_error(text):
     with pytest.raises(ValueError):
         parse_labeling_json(text)
+
+
+# Fuzzing: whatever the text, a parser returns or raises ValueError or
+# WeakIasiError. Inputs stay small; structured strategies reach past the
+# JSON decoder into the field checks.
+
+small_ints = st.integers(-2, 6)
+json_values = st.recursive(
+    st.none() | st.booleans() | small_ints | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=8,
+)
+vertex_keys = st.integers(-1, 6).map(str) | st.text(max_size=2)
+
+
+def parses_or_rejects(parse, text):
+    try:
+        parse(text)
+    except (ValueError, WeakIasiError):
+        pass
+
+
+@given(st.text(max_size=40))
+def test_fuzz_edge_list_text(text):
+    parses_or_rejects(parse_edge_list, text)
+
+
+@given(st.lists(st.lists(small_ints | st.text(max_size=2), max_size=3), max_size=7))
+def test_fuzz_edge_list_lines(rows):
+    parses_or_rejects(parse_edge_list, "\n".join(" ".join(map(str, row)) for row in rows))
+
+
+@pytest.mark.parametrize("parse", [parse_graph_json, parse_labeling_json])
+@given(text=st.text(max_size=40))
+def test_fuzz_json_text(parse, text):
+    parses_or_rejects(parse, text)
+
+
+@given(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "n": small_ints | json_values,
+            "edges": st.lists(st.lists(small_ints | json_values, max_size=3), max_size=6) | json_values,
+            "names": st.dictionaries(vertex_keys, st.text(max_size=2) | json_values, max_size=3) | json_values,
+        },
+    )
+)
+def test_fuzz_graph_json(data):
+    parses_or_rejects(parse_graph_json, json.dumps(data))
+
+
+@given(
+    json_values
+    | st.fixed_dictionaries(
+        {},
+        optional={
+            "vertex_labels": st.dictionaries(
+                vertex_keys, st.lists(small_ints | json_values, max_size=4) | json_values, max_size=4
+            )
+            | json_values
+        },
+    )
+)
+def test_fuzz_labeling_json(data):
+    parses_or_rejects(parse_labeling_json, json.dumps(data))

@@ -28,11 +28,13 @@ from helpers import (
     all_connected_graphs,
     bowtie,
     brute_alpha,
+    brute_alpha_witness,
     brute_is_k_colorable,
     brute_matching,
     brute_max_cut,
     brute_max_cut_certificate,
     brute_min_mono,
+    brute_sparing_witness,
     covers_all_edges,
     has_triangle,
     is_independent,
@@ -286,3 +288,18 @@ class TestIndependence:
         alpha, witness = independence_number(named_graph("dodecahedron"))
         assert alpha == 8
         assert is_independent(named_graph("dodecahedron"), witness)
+
+
+def test_independent_set_witnesses_match_exhaustive_search():
+    # phi, alpha and beta are one search over independent sets with different
+    # costs; every witness must be the lexicographically smallest optimum
+    rng = random.Random(404)
+    graphs = [g for n in range(2, 6) for g in all_connected_graphs(n)]
+    graphs += [random_connected_graph(rng, rng.randint(6, 12)) for _ in range(20)]
+    for g in graphs:
+        assert sparing_number_exact(g).independent_set == brute_sparing_witness(g)
+        alpha_witness = brute_alpha_witness(g)
+        assert independence_number(g) == (len(alpha_witness), alpha_witness)
+        beta, cover = vertex_cover_number(g)
+        assert tuple(v for v in range(g.n) if v not in cover) == alpha_witness
+        assert beta == g.n - len(alpha_witness)
