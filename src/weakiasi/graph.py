@@ -70,6 +70,27 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def by_vertex_id(mapping: Mapping, what: str) -> dict:
+    """``mapping`` re-keyed by vertex id, from ``int`` keys or canonical decimal strings.
+
+    Any other key raises ``ValueError``, and so do two keys naming one
+    vertex: a sign, whitespace, leading zeros or a digit separator (``"+0"``,
+    ``" 1"``, ``"00"``, ``"1_0"``) would let one vertex go by several keys.
+    """
+    out: dict = {}
+    for key, value in mapping.items():
+        if type(key) is str and key.isascii() and key.isdigit() and str(int(key)) == key:
+            v = int(key)
+        elif type(key) is int:
+            v = key
+        else:
+            raise ValueError(f"{what} key must be a vertex id in plain decimal, got {key!r}")
+        if v in out:
+            raise ValueError(f"{what} of vertex {v} given twice")
+        out[v] = value
+    return out
+
+
 def build_graph(
     n: int,
     edges: Iterable[tuple[int, int]],
@@ -108,12 +129,10 @@ def build_graph(
     for v in range(n):
         if adj[v] == 0:
             raise IsolatedVertexError(v)
-    name_map: dict[int, str] = {}
-    if names:
-        for v, alias in names.items():
-            if not (0 <= int(v) < n):
-                raise ValueError(f"name refers to unknown vertex {v}")
-            name_map[int(v)] = str(alias)
+    name_map = {v: str(alias) for v, alias in by_vertex_id(names or {}, "name").items()}
+    for v in name_map:
+        if not (0 <= v < n):
+            raise ValueError(f"name refers to unknown vertex {v}")
     return Graph(n=n, edges=tuple(normalized), adj=tuple(adj), names=name_map)
 
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .errors import MissingLabelError, NotIndependentError, NotWeakError
-from .graph import Edge, Graph
+from .graph import Edge, Graph, by_vertex_id
 
 Label = tuple[int, ...]
 
@@ -46,7 +46,9 @@ class IasiLabeling:
     vertex_labels: Mapping[int, Label]
 
     def __post_init__(self):
-        normalized = {int(v): make_label(lbl) for v, lbl in self.vertex_labels.items()}
+        normalized = {
+            v: make_label(lbl) for v, lbl in by_vertex_id(self.vertex_labels, "label").items()
+        }
         object.__setattr__(self, "vertex_labels", normalized)
 
     def label(self, v: int) -> Label:
@@ -80,7 +82,7 @@ class IasiLabeling:
             # type() rather than isinstance(): JSON true/false decode to bool, a subclass of int
             if not isinstance(v, list) or not all(type(x) is int for x in v):
                 raise ValueError(f"label of vertex {k} must be a list of integers, got {v!r}")
-        return cls({int(k): v for k, v in raw.items()})
+        return cls(raw)
 
 
 @dataclass(frozen=True)

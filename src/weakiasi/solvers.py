@@ -12,6 +12,16 @@ The sparing, independence and cover numbers share one search over the
 independent sets I, ``_min_cover_mask``: unit vertex costs on the cover
 C = V - I give beta = |C| and alpha = n - |C|; edge costs give
 phi = |E(G[C])|.
+
+Maximum cut is one branch and bound, ``_max_cut_side``. It places vertices in
+the order they first appear in the sorted edge list and keeps a removed-edge
+bitmask (edge i at bit m-1-i), so the tie-break between equal cuts is one
+integer comparison. Its bound counts, for each undecided vertex, the larger
+of its edge counts to the two sides, and the edges among the k undecided
+vertices less a greedy edge-disjoint triangle packing, at most k*k // 4
+(Poljak & Tuza, "Maximum cuts and large bipartite subgraphs", 1995). A
+greedy cut improved by single-vertex flips, which cuts at least m/2 edges,
+is the first incumbent.
 """
 
 from __future__ import annotations
@@ -125,13 +135,26 @@ def max_bipartite_subgraph(graph: Graph) -> BipartizationCertificate:
 
     Removed edges are the non-crossing edges of the optimal bipartition, so
     ``b + len(removed_edges) == m`` and the remaining graph is bipartite with
-    the reported parts. Per component a depth-first branch and bound places
-    vertices in id order, with vertex 0 fixed on side 0, and prunes when the
-    cut so far plus every edge not yet decided cannot reach the incumbent;
-    among optimal cuts the lexicographically smallest removed-edge list wins.
+    the reported parts. Among optimal cuts the lexicographically smallest
+    removed-edge list wins, with vertex 0 on side 0.
+
+    Per component a depth-first branch and bound places the vertices in the
+    order they first appear in the sorted edge list, which decides the
+    smallest edges first. The removed edges are kept as a bitmask with edge i
+    at bit m-1-i: every maximum cut removes the same number of edges, so the
+    larger mask is the smaller list and a tie costs one integer comparison.
+    Each node tries first the side that adds the larger mask. The bound on a
+    node is the cut so far, plus, for each undecided vertex, the larger of its
+    edge counts to the two sides, plus the edges among the undecided vertices
+    less a greedy edge-disjoint triangle packing of them (each triangle keeps
+    at most two edges in any cut), capped at k*k // 4 for k undecided
+    vertices. A subtree is cut when the bound is below the incumbent, or equal
+    to it while even removing every undecided edge cannot raise the mask
+    above the incumbent's. The first incumbent is a greedy placement improved
+    by single-vertex flips, which cuts at least m/2 edges.
     """
     _require(graph, SOLVER_VERTEX_LIMIT, "max-cut solver")
-    side1 = set(_union_per_component(graph, _max_cut_branch_bound))
+    side1 = set(_union_per_component(graph, _max_cut_side))
     removed = tuple(e for e in graph.edges if (e[0] in side1) == (e[1] in side1))
     part1 = tuple(sorted(side1))
     part0 = tuple(v for v in range(graph.n) if v not in side1)
@@ -145,40 +168,129 @@ def bipartization_number(graph: Graph) -> int:
     return graph.m - max_bipartite_subgraph(graph).b
 
 
-def _removed_for(graph: Graph, side1: int) -> list[Edge]:
-    return [e for e in graph.edges if not ((side1 >> e[0]) ^ (side1 >> e[1])) & 1]
+def _max_cut_side(graph: Graph) -> int:
+    """Side-1 mask of the maximum cut whose removed-edge list is smallest.
 
+    The branch and bound described in ``max_bipartite_subgraph``: it
+    maximises the pair (cut, removed-edge mask), edge i at bit m-1-i.
+    """
+    n, adj, edges, m = graph.n, graph.adj, graph.edges, graph.m
+    order = list(dict.fromkeys([0, *(v for e in edges for v in e)]))
+    edge_bit = {e: 1 << (m - 1 - i) for i, e in enumerate(edges)}
+    incident = [0] * n
+    for (u, v), b in edge_bit.items():
+        incident[u] |= b
+        incident[v] |= b
 
-def _max_cut_branch_bound(graph: Graph) -> int:
-    n, adj, m = graph.n, graph.adj, graph.m
-    below = [adj[v] & ((1 << v) - 1) for v in range(n)]
-    decided_after = [0] * (n + 1)
-    for v in range(n):
-        decided_after[v + 1] = decided_after[v] + below[v].bit_count()
-    best_cut = -1
-    best_side = 0
-    best_removed: list[Edge] = []
+    # per depth d: the vertex placed there, its decided neighbours and the
+    # (vertex bit, edge bit) pair of each edge to them
+    vertex_bit, back_adj, back_pairs, back_bits = [], [], [], []
+    decided = 0
+    for v in order:
+        back = adj[v] & decided
+        pairs = tuple((1 << u, edge_bit[(u, v) if u < v else (v, u)]) for u in _bits(back))
+        vertex_bit.append(1 << v)
+        back_adj.append(back)
+        back_pairs.append(pairs)
+        back_bits.append(sum(b for _, b in pairs))
+        decided |= 1 << v
 
-    def place(v: int, side1: int, cut: int) -> None:
-        nonlocal best_cut, best_side, best_removed
-        if cut + (m - decided_after[v]) < best_cut:
+    # per depth d, for the undecided set U = order[d:] of k vertices: the bits
+    # of every edge touching U, the decided neighbours of each vertex of U,
+    # and slack = |E(U, D)| + min(|E(U)| - t(U), k*k // 4), where t(U) is a
+    # greedy edge-disjoint triangle packing of G[U]. The packing grows from
+    # the deepest level up: each new vertex takes triangles over unused edges.
+    open_bits = [0] * (n + 1)
+    slack = [0] * (n + 1)
+    open_adj: list[tuple[int, ...]] = [()] * (n + 1)
+    unused = [0] * n
+    undecided = packed = inside = 0
+    for d in range(n - 1, -1, -1):
+        v = order[d]
+        free = adj[v] & undecided
+        inside += free.bit_count()
+        for a in _bits(free):
+            partner = unused[a] & free if free >> a & 1 else 0
+            if partner:
+                low = partner & -partner
+                free &= ~((1 << a) | low)
+                unused[a] &= ~low
+                unused[low.bit_length() - 1] &= ~(1 << a)
+                packed += 1
+        unused[v] = free
+        for a in _bits(free):
+            unused[a] |= 1 << v
+        undecided |= 1 << v
+        open_bits[d] = open_bits[d + 1] | incident[v]
+        k = n - d
+        slack[d] = open_bits[d].bit_count() - inside + min(inside - packed, k * k // 4)
+        open_adj[d] = tuple(a for a in (adj[w] & ~undecided for w in order[d:]) if a)
+
+    best_side = _local_search_side(graph, order)
+    best_cut = best_mask = 0
+    for (u, v), b in edge_bit.items():
+        if (best_side >> u ^ best_side >> v) & 1:
+            best_cut += 1
+        else:
+            best_mask |= b
+
+    def place(d: int, side0: int, side1: int, cut: int, removed: int) -> None:
+        nonlocal best_cut, best_mask, best_side
+        if d == n:
+            if cut > best_cut or (cut == best_cut and removed > best_mask):
+                best_cut, best_mask, best_side = cut, removed, side1
             return
-        if v == n:
-            if cut > best_cut:
-                best_cut, best_side = cut, side1
-                best_removed = _removed_for(graph, side1)
-            elif cut == best_cut:
-                candidate = _removed_for(graph, side1)
-                if candidate < best_removed:
-                    best_side, best_removed = side1, candidate
+        bound = cut + slack[d]
+        if bound < best_cut:
             return
-        side0 = ((1 << v) - 1) & ~side1
-        place(v + 1, side1, cut + (below[v] & side1).bit_count())
-        if v > 0:
-            place(v + 1, side1 | (1 << v), cut + (below[v] & side0).bit_count())
+        for a in open_adj[d]:
+            x, y = (a & side0).bit_count(), (a & side1).bit_count()
+            bound -= x if x < y else y
+        if bound < best_cut or (bound == best_cut and removed | open_bits[d] <= best_mask):
+            return
+        removed0 = 0
+        for ub, eb in back_pairs[d]:
+            if side0 & ub:
+                removed0 |= eb
+        removed1 = removed0 ^ back_bits[d]
+        back, vb = back_adj[d], vertex_bit[d]
+        cut0 = cut + (back & side1).bit_count()
+        cut1 = cut + (back & side0).bit_count()
+        if removed1 > removed0:
+            place(d + 1, side0, side1 | vb, cut1, removed | removed1)
+            place(d + 1, side0 | vb, side1, cut0, removed | removed0)
+        else:
+            place(d + 1, side0 | vb, side1, cut0, removed | removed0)
+            place(d + 1, side0, side1 | vb, cut1, removed | removed1)
 
-    place(0, 0, 0)
+    place(1, 1, 0, 0, 0)
     return best_side
+
+
+def _local_search_side(graph: Graph, order: list[int]) -> int:
+    """Side-1 mask of a greedy cut improved by single-vertex flips, vertex 0 on side 0.
+
+    A flip is made while some vertex has more neighbours on its own side than
+    across, so every vertex ends with at least half its edges cut: cut >= m/2.
+    """
+    n, adj = graph.n, graph.adj
+    side1 = placed = 0
+    for v in order:
+        near = adj[v] & placed
+        if (near & ~side1).bit_count() > (near & side1).bit_count():
+            side1 |= 1 << v
+        placed |= 1 << v
+    improved = True
+    while improved:
+        improved = False
+        for v in range(n):
+            same = adj[v] & (side1 if side1 >> v & 1 else ~side1)
+            if 2 * same.bit_count() > adj[v].bit_count():
+                side1 ^= 1 << v
+                improved = True
+    if side1 & 1:
+        side1 ^= (1 << n) - 1
+    return side1
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,13 @@ class TestSparingCommand:
         }
         assert all(v >= 0 for v in report["timings_ms"].values())
 
+    def test_timings_split_solve_into_sparing_and_max_cut(self):
+        timings = payload(run_cli("sparing", "--named", "dodecahedron"))["timings_ms"]
+        assert set(timings) == {"load", "sparing", "max_cut", "solve", "total"}
+        # each value is rounded to a microsecond on its own
+        assert abs(timings["solve"] - (timings["sparing"] + timings["max_cut"])) <= 0.002
+        assert timings["load"] + timings["solve"] <= timings["total"] + 0.002
+
     def test_cycle_family(self):
         report = payload(run_cli("sparing", "--named", "cycle", "--param", "5"))
         assert report["results"]["phi"] == 1

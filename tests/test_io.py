@@ -88,6 +88,44 @@ def test_graph_json_names_must_be_strings(alias):
         parse_graph_json(f'{{"n": 2, "edges": [[0, 1]], "names": {{"0": {alias}}}}}')
 
 
+NON_CANONICAL_IDS = ["00", "01", " 1", "1 ", "+0", "-0", "1_0", "0x1", "\u0661", "", "1.0"]
+
+
+@pytest.mark.parametrize("key", NON_CANONICAL_IDS)
+def test_labeling_vertex_keys_must_be_canonical(key):
+    text = json.dumps({"vertex_labels": {"0": [1], key: [2]}})
+    with pytest.raises(ValueError, match="plain decimal"):
+        parse_labeling_json(text)
+
+
+@pytest.mark.parametrize("key", NON_CANONICAL_IDS)
+def test_graph_name_keys_must_be_canonical(key):
+    text = json.dumps({"n": 2, "edges": [[0, 1]], "names": {"1": "b", key: "a"}})
+    with pytest.raises(ValueError, match="plain decimal"):
+        parse_graph_json(text)
+
+
+def test_two_keys_naming_one_vertex_are_rejected():
+    with pytest.raises(ValueError):
+        parse_labeling_json('{"vertex_labels": {"0": [1], "00": [2]}}')
+    with pytest.raises(ValueError, match="appears twice"):
+        parse_labeling_json('{"vertex_labels": {"0": [1], "0": [2]}}')
+    with pytest.raises(ValueError, match="appears twice"):
+        parse_graph_json('{"n": 2, "edges": [[0, 1]], "names": {"0": "a", "0": "b"}}')
+    with pytest.raises(ValueError, match="given twice"):
+        IasiLabeling({0: (1,), "0": (2,)})
+    with pytest.raises(ValueError, match="given twice"):
+        build_graph(2, [(0, 1)], names={0: "a", "0": "b"})
+
+
+def test_canonical_vertex_keys_still_load():
+    labeling = parse_labeling_json('{"vertex_labels": {"0": [1], "10": [2, 3], "1": [4]}}')
+    assert labeling.vertex_labels == {0: (1,), 10: (2, 3), 1: (4,)}
+    g = parse_graph_json('{"n": 11, "edges": [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [9, 10]], '
+                         '"names": {"0": "a", "10": "k"}}')
+    assert g.names == {0: "a", 10: "k"}
+
+
 @pytest.mark.parametrize("parse", [parse_graph_json, parse_labeling_json])
 def test_deeply_nested_json_is_value_error(parse):
     with pytest.raises(ValueError, match="nested too deeply"):

@@ -163,6 +163,29 @@ class TestMaxCut:
             cert = max_bipartite_subgraph(g)
             assert (cert.b, cert.removed_edges, cert.bipartition) == brute_max_cut_certificate(g)
 
+    @pytest.mark.parametrize("n", range(2, 19))
+    def test_complete_graph_closed_form(self, n):
+        # K_n has C(n, n/2)/2 maximum cuts, every one balanced; the smallest
+        # removed-edge list keeps the lowest ids together on side 0
+        half = (n + 1) // 2
+        part0, part1 = tuple(range(half)), tuple(range(half, n))
+        removed = tuple(
+            (u, v) for u, v in itertools.combinations(range(n), 2) if (u < half) == (v < half)
+        )
+        want = (n * n // 4, removed, (part0, part1))
+        if n <= 10:
+            assert brute_max_cut_certificate(complete_graph(n)) == want
+        cert = max_bipartite_subgraph(complete_graph(n))
+        assert (cert.b, cert.removed_edges, cert.bipartition) == want
+
+    def test_dense_random_graphs_match_exhaustive_search(self):
+        rng = random.Random(4871)
+        for n in range(8, 13):
+            for _ in range(6):
+                g = random_connected_graph(rng, n, extra=rng.choice([0.6, 0.75, 0.9]))
+                cert = max_bipartite_subgraph(g)
+                assert (cert.b, cert.removed_edges, cert.bipartition) == brute_max_cut_certificate(g)
+
     def test_odd_cycle_above_22_vertices(self):
         cert = max_bipartite_subgraph(cycle_graph(23))
         assert cert.b == 22
@@ -303,3 +326,15 @@ def test_independent_set_witnesses_match_exhaustive_search():
         beta, cover = vertex_cover_number(g)
         assert tuple(v for v in range(g.n) if v not in cover) == alpha_witness
         assert beta == g.n - len(alpha_witness)
+
+
+def test_matching_and_independence_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(1402)
+    for _ in range(30):
+        g = random_connected_graph(rng, rng.randint(2, 14), extra=rng.choice([0.1, 0.3, 0.6]))
+        ref = nx.Graph(g.edges)
+        nu = len(nx.max_weight_matching(ref, maxcardinality=True))
+        assert matching_number(g) == nu
+        _, alpha = nx.max_weight_clique(nx.complement(ref), weight=None)
+        assert independence_number(g)[0] == alpha
