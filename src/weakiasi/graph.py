@@ -28,6 +28,13 @@ GRAPH_FAMILIES = ("cycle", "path", "complete", "star")
 _FRUCHT_LCF = (-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2)
 
 
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True, repr=False)
 class Graph:
     """Simple undirected graph: no loops, no parallel edges, no isolated vertices.
@@ -55,13 +62,7 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        mask = self.adj[v]
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return tuple(out)
+        return tuple(_bits(self.adj[v]))
 
     def name_of(self, v: int) -> str:
         return self.names.get(v, str(v))
@@ -70,21 +71,31 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _plain_decimal(text) -> int:
+    """``text`` as a non-negative integer, if it is a string in canonical decimal.
+
+    Anything else raises ``ValueError``: a sign, whitespace, leading zeros, a
+    digit separator or a non-ASCII digit (``"+0"``, ``" 1"``, ``"00"``,
+    ``"1_0"``, ``"٢"``) would let one number go by several spellings.
+    """
+    if type(text) is str and text.isascii() and text.isdigit():
+        if text == "0" or text[0] != "0":
+            return int(text)
+    raise ValueError(f"not a plain decimal integer: {text!r}")
+
+
 def by_vertex_id(mapping: Mapping, what: str) -> dict:
     """``mapping`` re-keyed by vertex id, from ``int`` keys or canonical decimal strings.
 
-    Any other key raises ``ValueError``, and so do two keys naming one
-    vertex: a sign, whitespace, leading zeros or a digit separator (``"+0"``,
-    ``" 1"``, ``"00"``, ``"1_0"``) would let one vertex go by several keys.
+    Any other key raises ``ValueError`` (see ``_plain_decimal``), and so do
+    two keys naming one vertex.
     """
     out: dict = {}
     for key, value in mapping.items():
-        if type(key) is str and key.isascii() and key.isdigit() and str(int(key)) == key:
-            v = int(key)
-        elif type(key) is int:
-            v = key
-        else:
-            raise ValueError(f"{what} key must be a vertex id in plain decimal, got {key!r}")
+        try:
+            v = key if type(key) is int else _plain_decimal(key)
+        except ValueError:
+            raise ValueError(f"{what} key must be a vertex id in plain decimal, got {key!r}") from None
         if v in out:
             raise ValueError(f"{what} of vertex {v} given twice")
         out[v] = value
@@ -368,22 +379,19 @@ def decompose_into_cycles(graph: Graph) -> CycleDecomposition:
 
 def connected_components(graph: Graph) -> tuple[tuple[int, ...], ...]:
     """Vertex sets of the connected components, each sorted, ordered by smallest member."""
-    seen = [False] * graph.n
+    adj = graph.adj
+    left = (1 << graph.n) - 1
     components: list[tuple[int, ...]] = []
-    for root in range(graph.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for v in graph.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        components.append(tuple(sorted(queue)))
+    while left:
+        reached = frontier = left & -left
+        while frontier:
+            grown = 0
+            for u in _bits(frontier):
+                grown |= adj[u]
+            frontier = grown & ~reached
+            reached |= frontier
+        left &= ~reached
+        components.append(tuple(_bits(reached)))
     return tuple(components)
 
 

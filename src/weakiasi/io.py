@@ -5,14 +5,15 @@ from __future__ import annotations
 import json
 from typing import Mapping
 
-from .graph import Edge, Graph, build_graph
+from .graph import Edge, Graph, _plain_decimal, build_graph
 from .labeling import IasiLabeling
 
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain text format: header line ``n m``, then m lines ``u v``.
 
-    Blank lines and ``#`` comments are skipped; errors carry line numbers.
+    Blank lines and ``#`` comments are skipped; numbers must be in plain decimal
+    (no sign, leading zeros, separators or non-ASCII digits); errors carry line numbers.
     """
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
@@ -25,9 +26,9 @@ def parse_edge_list(text: str) -> Graph:
             kind = "header 'n m'" if header is None else "edge 'u v'"
             raise ValueError(f"line {lineno}: expected {kind}, got {line!r}")
         try:
-            a, b = int(parts[0]), int(parts[1])
+            a, b = _plain_decimal(parts[0]), _plain_decimal(parts[1])
         except ValueError:
-            raise ValueError(f"line {lineno}: expected two integers, got {line!r}") from None
+            raise ValueError(f"line {lineno}: expected two plain decimal integers, got {line!r}") from None
         if header is None:
             header = (a, b)
         else:

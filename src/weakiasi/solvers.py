@@ -22,6 +22,11 @@ vertices less a greedy edge-disjoint triangle packing, at most k*k // 4
 (Poljak & Tuza, "Maximum cuts and large bipartite subgraphs", 1995). A
 greedy cut improved by single-vertex flips, which cuts at least m/2 edges,
 is the first incumbent.
+
+The chromatic number is one branch and bound over color-class bitmasks,
+``_color_classes``: vertices in largest-degree-first order join an open
+class or open one new class, and a branch stops once it holds as many classes
+as the best coloring found, so the first leaf is the greedy coloring.
 """
 
 from __future__ import annotations
@@ -29,18 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import TooLargeError
-from .graph import Edge, Graph, connected_components, induced_subgraph
+from .graph import Edge, Graph, _bits, connected_components, induced_subgraph
 from .labeling import IasiLabeling, construct_labeling
 
 SOLVER_VERTEX_LIMIT = 32
 MATCHING_VERTEX_LIMIT = 24
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _per_component(graph: Graph):
@@ -143,15 +141,14 @@ def max_bipartite_subgraph(graph: Graph) -> BipartizationCertificate:
     smallest edges first. The removed edges are kept as a bitmask with edge i
     at bit m-1-i: every maximum cut removes the same number of edges, so the
     larger mask is the smaller list and a tie costs one integer comparison.
-    Each node tries first the side that adds the larger mask. The bound on a
-    node is the cut so far, plus, for each undecided vertex, the larger of its
-    edge counts to the two sides, plus the edges among the undecided vertices
-    less a greedy edge-disjoint triangle packing of them (each triangle keeps
-    at most two edges in any cut), capped at k*k // 4 for k undecided
-    vertices. A subtree is cut when the bound is below the incumbent, or equal
-    to it while even removing every undecided edge cannot raise the mask
-    above the incumbent's. The first incumbent is a greedy placement improved
-    by single-vertex flips, which cuts at least m/2 edges.
+    The bound on a node is the cut so far, plus, for each undecided vertex,
+    the larger of its edge counts to the two sides, plus the edges among the
+    undecided vertices less a greedy edge-disjoint triangle packing of them
+    (each triangle keeps at most two edges in any cut), capped at k*k // 4 for
+    k undecided vertices. A subtree is cut when the bound is below the
+    incumbent, or equal to it while even removing every undecided edge cannot
+    raise the mask above the incumbent's. The first incumbent is a greedy
+    placement improved by single-vertex flips, which cuts at least m/2 edges.
     """
     _require(graph, SOLVER_VERTEX_LIMIT, "max-cut solver")
     side1 = set(_union_per_component(graph, _max_cut_side))
@@ -252,16 +249,10 @@ def _max_cut_side(graph: Graph) -> int:
         for ub, eb in back_pairs[d]:
             if side0 & ub:
                 removed0 |= eb
-        removed1 = removed0 ^ back_bits[d]
         back, vb = back_adj[d], vertex_bit[d]
-        cut0 = cut + (back & side1).bit_count()
-        cut1 = cut + (back & side0).bit_count()
-        if removed1 > removed0:
-            place(d + 1, side0, side1 | vb, cut1, removed | removed1)
-            place(d + 1, side0 | vb, side1, cut0, removed | removed0)
-        else:
-            place(d + 1, side0 | vb, side1, cut0, removed | removed0)
-            place(d + 1, side0, side1 | vb, cut1, removed | removed1)
+        place(d + 1, side0 | vb, side1, cut + (back & side1).bit_count(), removed | removed0)
+        removed1 = removed0 ^ back_bits[d]
+        place(d + 1, side0, side1 | vb, cut + (back & side0).bit_count(), removed | removed1)
 
     place(1, 1, 0, 0, 0)
     return best_side
@@ -371,56 +362,53 @@ def _matching_component(graph: Graph) -> tuple[int, list[Edge]]:
 def chromatic_number(graph: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Exact chromatic number with one optimal proper coloring.
 
-    Iterative deepening over the color count; within each attempt,
-    backtracking in largest-degree-first order with the usual symmetry break
-    (at most one brand-new color per step). Returns (chi, color classes),
-    classes indexed by color and each sorted.
+    Returns (chi, color classes), classes indexed by color and each sorted.
+    The witness is, per component, the first optimal coloring met when the
+    vertices are colored in largest-degree-first order (ties to the smaller
+    id), each taking the open classes in index order and then one new class;
+    class c of the result is the union of the components' classes c.
     """
     _require(graph, SOLVER_VERTEX_LIMIT, "chromatic solver")
-    assignment = [0] * graph.n
-    chi = 0
+    merged = [0] * graph.n
     for sub, back in _per_component(graph):
-        k, colors = _chromatic_component(sub)
-        chi = max(chi, k)
-        for i, c in enumerate(colors):
-            assignment[back[i]] = c
-    classes = tuple(
-        tuple(v for v in range(graph.n) if assignment[v] == c) for c in range(chi)
-    )
-    return chi, classes
+        for c, mask in enumerate(_color_classes(sub)):
+            merged[c] |= sum(1 << back[v] for v in _bits(mask))
+    classes = tuple(tuple(_bits(mask)) for mask in merged if mask)
+    return len(classes), classes
 
 
-def _chromatic_component(graph: Graph) -> tuple[int, list[int]]:
+def _color_classes(graph: Graph) -> list[int]:
+    """Class masks of the first optimal coloring, in color order.
+
+    Depth first over the vertices in ``(-degree, id)`` order; a branch stops
+    once it holds as many classes as the best coloring found so far, so only
+    a strictly smaller coloring replaces the incumbent.
+    """
     n, adj = graph.n, graph.adj
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    colors = [-1] * n
+    classes: list[int] = []
+    best = [0] * (n + 1)  # longer than any coloring
 
-    def attempt(pos: int, k: int, used: int) -> bool:
-        if pos == n:
-            return True
-        v = order[pos]
-        taken = 0
-        nb = adj[v]
-        while nb:
-            low = nb & -nb
-            nb ^= low
-            c = colors[low.bit_length() - 1]
-            if c >= 0:
-                taken |= 1 << c
-        top = min(k - 1, used)
-        for c in range(top + 1):
-            if taken >> c & 1:
-                continue
-            colors[v] = c
-            if attempt(pos + 1, k, max(used, c + 1)):
-                return True
-            colors[v] = -1
-        return False
+    def extend(i: int) -> None:
+        nonlocal best
+        if len(classes) >= len(best):
+            return
+        if i == n:
+            best = classes.copy()
+            return
+        v = order[i]
+        bit, near = 1 << v, adj[v]
+        for c, members in enumerate(classes):
+            if not members & near:
+                classes[c] = members | bit
+                extend(i + 1)
+                classes[c] = members
+        classes.append(bit)
+        extend(i + 1)
+        classes.pop()
 
-    for k in range(1, n + 1):
-        if attempt(0, k, 0):
-            return k, colors
-    raise AssertionError("n colors always suffice")
+    extend(0)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,32 @@ def brute_is_k_colorable(g: Graph, k: int) -> bool:
     return False
 
 
+def brute_chromatic_witness(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Color classes of the first proper coloring in (-degree, id) vertex order.
+
+    For k = 1, 2, ... colorings are enumerated in that order, each vertex
+    taking a color at most one above the largest used so far, smallest color
+    first; the first proper one is returned as sorted classes indexed by color.
+    """
+    degree = [sum(v in e for e in g.edges) for v in range(g.n)]
+    order = sorted(range(g.n), key=lambda v: (-degree[v], v))
+
+    def colorings(i: int, k: int, top: int):
+        if i == g.n:
+            yield ()
+            return
+        for c in range(min(top + 1, k - 1) + 1):
+            for rest in colorings(i + 1, k, max(top, c)):
+                yield (c,) + rest
+
+    for k in range(1, g.n + 1):
+        for colors in colorings(0, k, -1):
+            color_of = dict(zip(order, colors))
+            if all(color_of[u] != color_of[v] for u, v in g.edges):
+                return tuple(tuple(v for v in range(g.n) if color_of[v] == c) for c in range(k))
+    return ()
+
+
 def brute_alpha(g: Graph) -> int:
     best = 0
     for mask in range(1 << g.n):

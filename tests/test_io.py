@@ -43,6 +43,14 @@ def test_edge_list_comments_and_blanks():
         ("3 2\n0 1 2\n1 2\n", "line 2"),
         ("3 5\n0 1\n1 2\n", "declares 5"),
         ("", "empty"),
+        # numbers are plain decimal only, so no number has two spellings
+        ("0_3 0_2\n00 1\n1 2\n", "line 1: expected two plain decimal"),
+        ("+3 2\n0 1\n1 2\n", "line 1: expected two plain decimal"),
+        ("3 2\n00 1\n1 2\n", "line 2: expected two plain decimal"),
+        ("3 2\n+1 \u0662\n0 1\n", "line 2: expected two plain decimal"),
+        ("3 2\n0 1\n1 \u0662\n", "line 3: expected two plain decimal"),
+        ("3 2\n0 1\n-1 2\n", "line 3: expected two plain decimal"),
+        ("3 2\n0 1\n1_0 2\n", "line 3: expected two plain decimal"),
     ],
 )
 def test_edge_list_errors_carry_location(text, fragment):

@@ -29,6 +29,7 @@ from helpers import (
     bowtie,
     brute_alpha,
     brute_alpha_witness,
+    brute_chromatic_witness,
     brute_is_k_colorable,
     brute_matching,
     brute_max_cut,
@@ -270,6 +271,36 @@ class TestChromatic:
         chi, classes = chromatic_number(g)
         assert chi == 3
         assert len(classes) == 3
+
+
+def test_chromatic_witness_matches_exhaustive_search():
+    # the witness is the first optimal coloring in (-degree, id) order, each
+    # vertex taking the smallest color that still leads to an optimum
+    rng = random.Random(1979)
+    graphs = [g for n in range(2, 6) for g in all_connected_graphs(n)]
+    graphs += [random_connected_graph(rng, rng.randint(6, 9)) for _ in range(20)]
+    for g in graphs:
+        want = brute_chromatic_witness(g)
+        assert chromatic_number(g) == (len(want), want)
+
+
+def test_chromatic_witness_of_disconnected_graph_merges_components():
+    # each component gets its own first optimal coloring; class c is the
+    # union of the components' classes c
+    wheel = build_graph(6, [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)])
+    ring = cycle_graph(5)
+    ids = {"wheel": (0, 2, 4, 6, 8, 10), "ring": (1, 3, 5, 7, 9)}
+    g = build_graph(
+        11,
+        [(ids["wheel"][u], ids["wheel"][v]) for u, v in wheel.edges]
+        + [(ids["ring"][u], ids["ring"][v]) for u, v in ring.edges],
+    )
+    merged = [set() for _ in range(4)]
+    for part, name in ((wheel, "wheel"), (ring, "ring")):
+        for c, members in enumerate(brute_chromatic_witness(part)):
+            merged[c].update(ids[name][v] for v in members)
+    want = tuple(tuple(sorted(members)) for members in merged)
+    assert chromatic_number(g) == (4, want)
 
 
 class TestIndependence:
