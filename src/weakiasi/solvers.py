@@ -11,7 +11,14 @@ raise ``TooLargeError`` rather than degrading to heuristics.
 The sparing, independence and cover numbers share one search over the
 independent sets I, ``_min_cover_mask``: unit vertex costs on the cover
 C = V - I give beta = |C| and alpha = n - |C|; edge costs give
-phi = |E(G[C])|.
+phi = |E(G[C])|. With vertex costs a greedy matching among the undecided
+vertices bounds the walk from below, since each of its edges puts a distinct
+vertex into C.
+
+The matching number is a memoized dynamic program over vertex masks. When the
+lowest vertex has a neighbour it is matched in some maximum matching, so only
+those branches are taken, and they stop at a matching of k // 2 edges on k
+vertices.
 
 Maximum cut is one branch and bound, ``_max_cut_side``. It places vertices in
 the order they first appear in the sorted edge list and keeps a removed-edge
@@ -293,8 +300,13 @@ def maximum_matching(graph: Graph) -> tuple[int, tuple[Edge, ...]]:
     """Maximum set of pairwise non-adjacent edges, with a witness.
 
     Subset dynamic program over vertex masks (memoized on the remaining
-    vertex set), run per component; the witness is reconstructed greedily
-    toward smallest vertex ids.
+    vertex set), run per component. The lowest vertex v of a mask, if it has
+    a neighbour there, is matched in some maximum matching (swap its
+    neighbour's edge for the one to v), so the program only branches on v's
+    neighbours, and stops at the first one that leaves at most one vertex of
+    the mask unmatched. The witness takes the lowest vertex: it stays
+    unmatched if nu allows it, otherwise it is matched to its smallest
+    neighbour that keeps nu.
     """
     _require(graph, MATCHING_VERTEX_LIMIT, "matching solver")
     total = 0
@@ -321,14 +333,18 @@ def _matching_component(graph: Graph) -> tuple[int, list[Edge]]:
         low = mask & -mask
         v = low.bit_length() - 1
         rest = mask ^ low
-        best = rec(rest)
         nb = adj[v] & rest
-        while nb:
-            ub = nb & -nb
-            nb ^= ub
-            cand = 1 + rec(rest ^ ub)
-            if cand > best:
-                best = cand
+        if not nb:
+            best = rec(rest)
+        else:
+            # some maximum matching covers v: swap its neighbour's edge for uv
+            best, cap = 0, mask.bit_count() // 2
+            while nb and best < cap:
+                ub = nb & -nb
+                nb ^= ub
+                cand = 1 + rec(rest ^ ub)
+                if cand > best:
+                    best = cand
         memo[mask] = best
         return best
 
@@ -420,8 +436,9 @@ def independence_number(graph: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact maximum independent set, as the complement of a least cover.
 
     ``_min_cover_mask`` with unit vertex costs, bounded by the vertices
-    already excluded or blocked; the witness is the lexicographically
-    smallest maximum independent set.
+    already excluded or blocked plus a greedy matching among the undecided
+    ones; the witness is the lexicographically smallest maximum independent
+    set.
     """
     _require(graph, SOLVER_VERTEX_LIMIT, "independence solver")
     independent = _union_per_component(graph, lambda sub: _min_cover_mask(sub, 1, (0,) * sub.n))
@@ -444,9 +461,13 @@ def _min_cover_mask(graph: Graph, vertex_cost: int, edge_adj) -> int:
     goes include-first in ascending id; a vertex joins C when excluded, or at
     once when a chosen neighbour blocks it, so the running cost bounds every
     completion, ``cost >= best`` prunes, and the first optimum found is the
-    lexicographically smallest I.
+    lexicographically smallest I. With ``vertex_cost > 0`` the bound adds
+    ``vertex_cost`` per edge of a greedy maximal matching among the undecided
+    vertices (each free vertex, lowest first, takes its lowest free
+    neighbour): one endpoint of every such edge joins C.
     """
     n, adj = graph.n, graph.adj
+    full = (1 << n) - 1
     best_cost = n * vertex_cost + graph.m + 1
     best_cover = 0
 
@@ -459,6 +480,19 @@ def _min_cover_mask(graph: Graph, vertex_cost: int, edge_adj) -> int:
         if idx == n:
             best_cost, best_cover = cost, cover
             return
+        if vertex_cost:
+            # each edge of a greedy matching among the undecided vertices
+            # puts a distinct vertex into C
+            free, pairs = ~cover & full >> idx << idx, 0
+            while free:
+                low = free & -free
+                free ^= low
+                mate = adj[low.bit_length() - 1] & free
+                if mate:
+                    free ^= mate & -mate
+                    pairs += 1
+            if cost + vertex_cost * pairs >= best_cost:
+                return
         new = adj[idx] & ~cover
         blocked, grown = cover, cost + vertex_cost * new.bit_count()
         while new:
@@ -470,4 +504,4 @@ def _min_cover_mask(graph: Graph, vertex_cost: int, edge_adj) -> int:
         walk(idx + 1, cover | 1 << idx, cost + vertex_cost + (edge_adj[idx] & cover).bit_count())
 
     walk(0, 0, 0)
-    return ((1 << n) - 1) & ~best_cover
+    return full & ~best_cover

@@ -27,6 +27,11 @@ def butterfly_at_one() -> Graph:
     return build_graph(5, [(0, 1), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)])
 
 
+def complete_bipartite(a: int, b: int) -> Graph:
+    """K_{a,b} with the sides 0..a-1 and a..a+b-1."""
+    return build_graph(a + b, [(u, v) for u in range(a) for v in range(a, a + b)])
+
+
 def is_independent(g: Graph, vertices) -> bool:
     vs = list(vertices)
     return all(not g.has_edge(u, v) for u, v in itertools.combinations(vs, 2))
@@ -81,9 +86,7 @@ def brute_max_cut_certificate(g: Graph):
     return g.m - len(removed), tuple(removed), (part0, part1)
 
 
-def brute_matching(g: Graph) -> int:
-    edges = g.edges
-
+def _brute_matching_size(edges) -> int:
     def rec(i: int, used: int) -> int:
         if i == len(edges):
             return 0
@@ -94,6 +97,38 @@ def brute_matching(g: Graph) -> int:
         return best
 
     return rec(0, 0)
+
+
+def brute_matching(g: Graph) -> int:
+    return _brute_matching_size(g.edges)
+
+
+def brute_matching_witness(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(nu, edges) by the documented rule, with nu of each vertex subset brute-forced.
+
+    Take the lowest remaining vertex: leave it unmatched if nu allows it,
+    otherwise match it to its smallest neighbour that keeps nu; repeat. Reads
+    only the edge list.
+    """
+
+    def nu(alive: frozenset) -> int:
+        return _brute_matching_size([(u, v) for u, v in g.edges if u in alive and v in alive])
+
+    alive = frozenset(range(g.n))
+    target = nu(alive)
+    picked = []
+    while alive:
+        v = min(alive)
+        rest = alive - {v}
+        if nu(rest) == target:
+            alive = rest
+            continue
+        near = sorted(b if a == v else a for a, b in g.edges if v in (a, b) and {a, b} <= alive)
+        u = next(u for u in near if 1 + nu(rest - {u}) == target)
+        picked.append((v, u))
+        alive = rest - {u}
+        target -= 1
+    return len(picked), tuple(picked)
 
 
 def brute_is_k_colorable(g: Graph, k: int) -> bool:

@@ -32,10 +32,12 @@ from helpers import (
     brute_chromatic_witness,
     brute_is_k_colorable,
     brute_matching,
+    brute_matching_witness,
     brute_max_cut,
     brute_max_cut_certificate,
     brute_min_mono,
     brute_sparing_witness,
+    complete_bipartite,
     covers_all_edges,
     has_triangle,
     is_independent,
@@ -216,7 +218,7 @@ class TestMatching:
         touched = [v for e in edges for v in e]
         assert sorted(touched) == list(range(10))
 
-    @pytest.mark.parametrize("n", range(3, 21))
+    @pytest.mark.parametrize("n", range(3, 25))
     def test_cycle_and_path_formula(self, n):
         assert matching_number(cycle_graph(n)) == n // 2
         assert matching_number(path_graph(n)) == n // 2
@@ -230,6 +232,19 @@ class TestMatching:
             used = [v for e in edges for v in e]
             assert len(used) == len(set(used))
             assert all(g.has_edge(u, v) for u, v in edges)
+
+    def test_complete_graph_at_the_limit(self):
+        # K_23 has nu = 11 < 12, so vertex 0 is matched, to its smallest
+        # neighbour 1, and so on down the ids
+        want = (12, tuple((2 * i, 2 * i + 1) for i in range(12)))
+        assert maximum_matching(complete_graph(24)) == want
+
+    @pytest.mark.parametrize("left, right", [(12, 12), (10, 14)])
+    def test_complete_bipartite_at_the_limit(self, left, right):
+        # K_{a,b}, a <= b: nu = a, and K_{a-1,b} has nu = a - 1, so each left
+        # vertex i is matched, to the smallest free right vertex a + i
+        want = (left, tuple((i, left + i) for i in range(left)))
+        assert maximum_matching(complete_bipartite(left, right)) == want
 
     def test_too_large(self):
         with pytest.raises(TooLargeError):
@@ -343,6 +358,23 @@ class TestIndependence:
         assert alpha == 8
         assert is_independent(named_graph("dodecahedron"), witness)
 
+    @pytest.mark.parametrize("n", range(24, 33))
+    def test_path_and_cycle_at_the_limit(self, n):
+        # the smallest maximum independent set is the even vertices; on an odd
+        # cycle it stops at n - 3, since n - 1 is a neighbour of 0
+        for g, alpha in ((path_graph(n), (n + 1) // 2), (cycle_graph(n), n // 2)):
+            want = tuple(range(0, 2 * alpha, 2))
+            assert independence_number(g) == (alpha, want)
+            assert vertex_cover_number(g) == (n - alpha, tuple(v for v in range(n) if v not in want))
+
+    def test_dense_graphs_at_the_limit(self):
+        # K_32: alpha = 1, by vertex 0; K_{16,16}: alpha = 16, by the side 0..15
+        assert independence_number(complete_graph(32)) == (1, (0,))
+        assert vertex_cover_number(complete_graph(32)) == (31, tuple(range(1, 32)))
+        g = complete_bipartite(16, 16)
+        assert independence_number(g) == (16, tuple(range(16)))
+        assert vertex_cover_number(g) == (16, tuple(range(16, 32)))
+
 
 def test_independent_set_witnesses_match_exhaustive_search():
     # phi, alpha and beta are one search over independent sets with different
@@ -357,6 +389,26 @@ def test_independent_set_witnesses_match_exhaustive_search():
         beta, cover = vertex_cover_number(g)
         assert tuple(v for v in range(g.n) if v not in cover) == alpha_witness
         assert beta == g.n - len(alpha_witness)
+
+
+def test_matching_witness_matches_exhaustive_search():
+    # the witness leaves the lowest vertex unmatched when nu allows it and
+    # otherwise matches it to its smallest neighbour that keeps nu
+    rng = random.Random(2419)
+    graphs = [g for n in range(2, 7) for g in all_connected_graphs(n)]
+    graphs += [random_connected_graph(rng, rng.randint(7, 10)) for _ in range(20)]
+    for g in graphs:
+        assert maximum_matching(g) == brute_matching_witness(g)
+
+
+def test_matching_witness_of_disconnected_graph_with_interleaved_ids():
+    # a triangle 0-2-4 with the tail 4-6-8 on the even ids and the path
+    # 1-3-5-7-9 on the odd ids; nu lets each component leave its lowest vertex
+    # unmatched
+    g = build_graph(10, [(0, 2), (0, 4), (2, 4), (4, 6), (6, 8), (1, 3), (3, 5), (5, 7), (7, 9)])
+    want = (4, ((2, 4), (3, 5), (6, 8), (7, 9)))
+    assert brute_matching_witness(g) == want
+    assert maximum_matching(g) == want
 
 
 def test_matching_and_independence_match_networkx():
