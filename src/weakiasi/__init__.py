@@ -52,7 +52,6 @@ from .labeling import (
     sumset,
     verify_iasi,
 )
-from .oracle import ORACLE_VERTEX_LIMIT, CrossValidation, cross_validate, sparing_oracle
 from .solvers import (
     MATCHING_VERTEX_LIMIT,
     SOLVER_VERTEX_LIMIT,
@@ -67,20 +66,23 @@ from .solvers import (
     sparing_number_exact,
     vertex_cover_number,
 )
-from .theorems import (
-    GRAPH_CHECKERS,
-    TheoremReport,
-    check_bipartization_theorem,
-    check_chi_phi_gap,
-    check_chromatic_class_formula,
-    check_cover_theorems,
-    check_matching_formula,
-    check_odd_cycle_decomposition,
-    check_union_formula,
-    run_all_checkers,
-)
 
 __version__ = "0.1.0"
+
+# The checkers and the oracle load on first access (PEP 562), so a command
+# that never calls them does not compile them. Every name of __all__ that
+# reaches __getattr__ is theirs; it is never bound here, so no copy goes stale.
+_ORACLE_NAMES = ("ORACLE_VERTEX_LIMIT", "CrossValidation", "cross_validate", "sparing_oracle")
+
+
+def __getattr__(name: str):
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = "oracle" if name in _ORACLE_NAMES else "theorems"
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
 
 __all__ = [
     "BipartiteCheck",

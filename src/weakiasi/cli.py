@@ -12,13 +12,14 @@ import time
 
 import click
 
-from . import io
+from . import __version__, io
 from .errors import WeakIasiError
 from .graph import Graph, degree_stats, named_catalog, named_graph
-from .labeling import verify_iasi
-from .oracle import cross_validate
 from .solvers import max_bipartite_subgraph, sparing_number_exact
-from .theorems import run_all_checkers
+
+# The checkers and the oracle are imported only by the commands that call them.
+# A command turns these into an "Error:" line and exit code 1.
+_INPUT_ERRORS = (WeakIasiError, ValueError, OSError)
 
 
 def _graph_options(fn):
@@ -70,7 +71,7 @@ def _run_report(command: str, label: str, graph: Graph, results: dict, timings: 
 
 
 @click.group()
-@click.version_option(package_name="weakiasi")
+@click.version_option(version=__version__)
 def main():
     """Weak additive set-labelings: exact sparing numbers, bipartization, relation checks."""
 
@@ -90,7 +91,10 @@ def cmd_sparing(named, param, graph_path, include_labeling, dot_path, json_inden
         t2 = time.perf_counter()
         bipartization = max_bipartite_subgraph(graph)
         t3 = time.perf_counter()
-    except (WeakIasiError, ValueError) as exc:
+        if dot_path:
+            with open(dot_path, "w", encoding="utf-8") as handle:
+                handle.write(io.to_dot(graph, {e: "mono" for e in certificate.mono_edges}))
+    except _INPUT_ERRORS as exc:
         raise click.ClickException(str(exc)) from None
     removal_count = graph.m - bipartization.b
     results = {
@@ -104,10 +108,6 @@ def cmd_sparing(named, param, graph_path, include_labeling, dot_path, json_inden
     }
     if include_labeling:
         results["labeling"] = certificate.labeling.to_json_dict()
-    if dot_path:
-        classes = {e: "mono" for e in certificate.mono_edges}
-        with open(dot_path, "w", encoding="utf-8") as handle:
-            handle.write(io.to_dot(graph, classes))
     timings = {
         "load": t1 - t0,
         "sparing": t2 - t1,
@@ -129,13 +129,14 @@ def cmd_sparing(named, param, graph_path, include_labeling, dot_path, json_inden
 @_common_options
 def cmd_check(named, param, graph_path, json_indent):
     """Run every applicable relation checker on one graph."""
+    from .theorems import run_all_checkers
     t0 = time.perf_counter()
     try:
         graph, label = _resolve_graph(named, param, graph_path)
         t1 = time.perf_counter()
         reports = run_all_checkers(graph)
         t2 = time.perf_counter()
-    except (WeakIasiError, ValueError) as exc:
+    except _INPUT_ERRORS as exc:
         raise click.ClickException(str(exc)) from None
     tally = {"holds": 0, "fails": 0, "not-applicable": 0}
     for r in reports:
@@ -169,13 +170,14 @@ def cmd_named(json_indent):
 @_common_options
 def cmd_oracle(named, param, graph_path, json_indent):
     """Brute-force sparing number (n <= 7) cross-validated against the solver."""
+    from .oracle import cross_validate
     t0 = time.perf_counter()
     try:
         graph, label = _resolve_graph(named, param, graph_path)
         t1 = time.perf_counter()
         validation = cross_validate(graph)
         t2 = time.perf_counter()
-    except (WeakIasiError, ValueError) as exc:
+    except _INPUT_ERRORS as exc:
         raise click.ClickException(str(exc)) from None
     report = _run_report(
         "oracle",
@@ -198,6 +200,7 @@ def cmd_oracle(named, param, graph_path, json_indent):
 @_common_options
 def cmd_verify(graph_path, labeling_path, json_indent):
     """Verify a user-supplied labeling against a graph."""
+    from .labeling import verify_iasi
     t0 = time.perf_counter()
     try:
         graph = io.load_graph(graph_path)
@@ -205,7 +208,7 @@ def cmd_verify(graph_path, labeling_path, json_indent):
         t1 = time.perf_counter()
         result = verify_iasi(graph, labeling)
         t2 = time.perf_counter()
-    except (WeakIasiError, ValueError) as exc:
+    except _INPUT_ERRORS as exc:
         raise click.ClickException(str(exc)) from None
     report = _run_report(
         "verify",

@@ -5,12 +5,14 @@ human-readable aliases for reports. Every graph is validated on construction
 (no loops, no parallel edges, no isolated vertices) and never mutated
 afterwards, so instances are safe to share between callers. Edge deletion
 produces a new graph.
+
+``Graph`` and the package's other records are ``NamedTuple`` classes, cheap to
+define at import, and so also tuples: iterable, indexable, equal to a tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     InvalidEdgeError,
@@ -35,8 +37,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True, repr=False)
-class Graph:
+class Graph(NamedTuple):
     """Simple undirected graph: no loops, no parallel edges, no isolated vertices.
 
     ``adj[v]`` is a bit-vector with bit ``u`` set iff ``(min(u,v), max(u,v))``
@@ -46,7 +47,7 @@ class Graph:
     n: int
     edges: tuple[Edge, ...]
     adj: tuple[int, ...]
-    names: Mapping[int, str] = field(default_factory=dict)
+    names: Mapping[int, str]
 
     @property
     def m(self) -> int:
@@ -265,8 +266,7 @@ def named_catalog() -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BipartiteCheck:
+class BipartiteCheck(NamedTuple):
     """Bipartiteness verdict with a witness: a bipartition, or one odd cycle."""
 
     bipartite: bool
@@ -274,8 +274,7 @@ class BipartiteCheck:
     odd_cycle: tuple[int, ...] | None
 
 
-@dataclass(frozen=True)
-class CycleDecomposition:
+class CycleDecomposition(NamedTuple):
     """Edge-disjoint cycles whose union is the whole edge set."""
 
     cycles: tuple[tuple[int, ...], ...]

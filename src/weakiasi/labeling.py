@@ -9,9 +9,8 @@ sumset size bounds forces at least one singleton endpoint per edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import MissingLabelError, NotIndependentError, NotWeakError
 from .graph import Edge, Graph, by_vertex_id
@@ -39,17 +38,19 @@ def sumset(a: Iterable[int], b: Iterable[int]) -> Label:
     return tuple(sorted({x + y for x in ta for y in tb}))
 
 
-@dataclass(frozen=True)
-class IasiLabeling:
-    """Vertex set-labels plus the edge sumsets they induce on a given graph."""
-
+# NamedTuple allows no __new__ in its body, so IasiLabeling normalizes in a subclass
+class _LabelingFields(NamedTuple):
     vertex_labels: Mapping[int, Label]
 
-    def __post_init__(self):
-        normalized = {
-            v: make_label(lbl) for v, lbl in by_vertex_id(self.vertex_labels, "label").items()
-        }
-        object.__setattr__(self, "vertex_labels", normalized)
+
+class IasiLabeling(_LabelingFields):
+    """Vertex set-labels plus the edge sumsets they induce on a given graph."""
+
+    __slots__ = ()
+
+    def __new__(cls, vertex_labels: Mapping) -> "IasiLabeling":
+        normalized = {v: make_label(lbl) for v, lbl in by_vertex_id(vertex_labels, "label").items()}
+        return super().__new__(cls, normalized)
 
     def label(self, v: int) -> Label:
         try:
@@ -85,8 +86,7 @@ class IasiLabeling:
         return cls(raw)
 
 
-@dataclass(frozen=True)
-class LabelingReport:
+class LabelingReport(NamedTuple):
     """Verification outcome: three flags plus the first violating pair of each failure."""
 
     vertex_injective: bool

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import TooLargeError
 from .graph import Graph
@@ -38,8 +38,7 @@ def sparing_oracle(graph: Graph) -> tuple[int, IasiLabeling]:
     return best_count, best_labeling
 
 
-@dataclass(frozen=True)
-class CrossValidation:
+class CrossValidation(NamedTuple):
     agree: bool
     oracle_phi: int
     solver_phi: int

@@ -38,7 +38,7 @@ as the best coloring found, so the first leaf is the greedy coloring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import TooLargeError
 from .graph import Edge, Graph, _bits, connected_components, induced_subgraph
@@ -71,8 +71,7 @@ def _require(graph: Graph, limit: int, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SparingCertificate:
+class SparingCertificate(NamedTuple):
     """Optimal mono-indexed edge count with a full witness.
 
     ``independent_set`` is the optimal choice of non-singleton vertices,
@@ -119,8 +118,7 @@ def sparing_number_exact(graph: Graph) -> SparingCertificate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BipartizationCertificate:
+class BipartizationCertificate(NamedTuple):
     """Maximum bipartite spanning subgraph: kept size b, removed edges, 2-coloring."""
 
     b: int

@@ -8,8 +8,7 @@ relation is data, not an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .graph import (
     Graph,
@@ -34,8 +33,7 @@ FAILS = "fails"
 NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """Self-contained verdict: holds iff lhs == rhs, with a numeric witness payload."""
 
     theorem: str

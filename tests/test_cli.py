@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 from click.testing import CliRunner
 
@@ -13,6 +15,17 @@ def run_cli(*args):
 
 def payload(result):
     return json.loads(result.stdout)
+
+
+class TestVersion:
+    def test_version_from_source_matches_pyproject(self):
+        # the tests run the package from source, where it has no installed metadata
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
+        result = run_cli("--version")
+        assert result.exit_code == 0
+        assert declared == "0.1.0"
+        assert result.output.split()[-1] == declared
 
 
 class TestSparingCommand:
@@ -78,6 +91,14 @@ class TestSparingCommand:
         result = run_cli("sparing", "--named", "cycle", "--param", "40")
         assert result.exit_code != 0
         assert "32" in result.output
+
+    def test_unwritable_dot_path_is_input_error_without_traceback(self, tmp_path):
+        dot_file = tmp_path / "missing-dir" / "out.dot"
+        result = run_cli("sparing", "--named", "petersen", "--dot", str(dot_file))
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Error:" in result.output and str(dot_file) in result.output
+        assert "Traceback" not in result.output
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
