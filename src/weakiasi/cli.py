@@ -17,8 +17,9 @@ from .errors import WeakIasiError
 from .graph import Graph, degree_stats, named_catalog, named_graph
 from .solvers import max_bipartite_subgraph, sparing_number_exact
 
-# The checkers and the oracle are imported only by the commands that call them.
-# A command turns these into an "Error:" line and exit code 1.
+# theorems and oracle are imported only by the commands that call them
+
+# what a command reports as an "Error:" line with exit code 1
 _INPUT_ERRORS = (WeakIasiError, ValueError, OSError)
 
 

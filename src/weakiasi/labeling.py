@@ -48,7 +48,7 @@ class IasiLabeling(_LabelingFields):
 
     __slots__ = ()
 
-    def __new__(cls, vertex_labels: Mapping) -> "IasiLabeling":
+    def __new__(cls, vertex_labels: Mapping) -> IasiLabeling:
         normalized = {v: make_label(lbl) for v, lbl in by_vertex_id(vertex_labels, "label").items()}
         return super().__new__(cls, normalized)
 
