@@ -29,7 +29,6 @@ from .graph import (
     cycle_graph,
     decompose_into_cycles,
     degree_stats,
-    induced_subgraph,
     is_bipartite,
     is_connected,
     is_cycle_graph,
@@ -129,7 +128,6 @@ __all__ = [
     "decompose_into_cycles",
     "degree_stats",
     "independence_number",
-    "induced_subgraph",
     "is_bipartite",
     "is_connected",
     "is_cycle_graph",

@@ -394,23 +394,6 @@ def connected_components(graph: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(components)
 
 
-def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph induced by ``vertices``, relabeled densely.
-
-    Returns the subgraph and the back-map: position ``i`` holds the original
-    id of new vertex ``i``. Raises ``IsolatedVertexError`` if some chosen
-    vertex has no chosen neighbor.
-    """
-    chosen = tuple(sorted(set(vertices)))
-    index = {v: i for i, v in enumerate(chosen)}
-    edges = [
-        (index[u], index[v])
-        for u, v in graph.edges
-        if u in index and v in index
-    ]
-    return build_graph(len(chosen), edges), chosen
-
-
 def remove_edges(graph: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
     """New graph without the given edges; removing an absent edge is an error."""
     present = set(graph.edges)

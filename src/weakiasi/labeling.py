@@ -44,7 +44,7 @@ class _LabelingFields(NamedTuple):
 
 
 class IasiLabeling(_LabelingFields):
-    """Vertex set-labels plus the edge sumsets they induce on a given graph."""
+    """Vertex set-labels, keyed by vertex id, each normalized by ``make_label``."""
 
     __slots__ = ()
 
@@ -52,18 +52,19 @@ class IasiLabeling(_LabelingFields):
         normalized = {v: make_label(lbl) for v, lbl in by_vertex_id(vertex_labels, "label").items()}
         return super().__new__(cls, normalized)
 
+    # the named tuple's own _make and _replace would skip the checks in __new__
+    @classmethod
+    def _make(cls, iterable) -> IasiLabeling:
+        return cls(*iterable)
+
+    def _replace(self, **changes) -> IasiLabeling:
+        return type(self)(**{**self._asdict(), **changes})
+
     def label(self, v: int) -> Label:
         try:
             return self.vertex_labels[v]
         except KeyError:
             raise MissingLabelError(v) from None
-
-    def edge_labels(self, graph: Graph) -> dict[Edge, Label]:
-        return {e: sumset(self.label(e[0]), self.label(e[1])) for e in graph.edges}
-
-    def edge_indexing_numbers(self, graph: Graph) -> dict[Edge, int]:
-        """Set-indexing number (label cardinality) of every edge."""
-        return {e: len(lbl) for e, lbl in self.edge_labels(graph).items()}
 
     def to_json_dict(self) -> dict:
         return {

@@ -3,10 +3,12 @@ matching, chromatic, independence and cover numbers.
 
 All solvers are exact and deterministic. Ties are broken toward the
 lexicographically smallest witness (compared as sorted vertex or edge id
-lists), so identical inputs always yield identical certificates. Disconnected
-inputs are solved per connected component and combined additively (phi, b,
-nu, alpha, beta) or by maximum (chi). Inputs beyond the documented limits
-raise ``TooLargeError`` rather than degrading to heuristics.
+lists), so identical inputs always yield identical certificates. Each
+connected component is solved in place: a kernel takes the graph and the
+component's vertex mask in the original ids, and the results combine
+additively (phi, b, nu, alpha, beta) or by maximum (chi). Inputs beyond the
+documented limits raise ``TooLargeError`` rather than degrading to
+heuristics.
 
 The sparing, independence and cover numbers share one search over the
 independent sets I, ``_min_cover_mask``: unit vertex costs on the cover
@@ -41,24 +43,24 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import TooLargeError
-from .graph import Edge, Graph, _bits, connected_components, induced_subgraph
+from .graph import Edge, Graph, _bits, connected_components
 from .labeling import IasiLabeling, construct_labeling
 
 SOLVER_VERTEX_LIMIT = 32
 MATCHING_VERTEX_LIMIT = 24
 
 
-def _per_component(graph: Graph):
-    for members in connected_components(graph):
-        yield induced_subgraph(graph, members)
+def _component_masks(graph: Graph) -> list[int]:
+    """Vertex mask of each connected component, ordered by smallest member."""
+    return [sum(1 << v for v in members) for members in connected_components(graph)]
 
 
-def _union_per_component(graph: Graph, component_mask) -> tuple[int, ...]:
-    """Sorted original ids of the vertices ``component_mask`` picks in each component."""
-    members: list[int] = []
-    for sub, back in _per_component(graph):
-        members.extend(back[i] for i in _bits(component_mask(sub)))
-    return tuple(sorted(members))
+def _union_per_component(graph: Graph, kernel, *args) -> int:
+    """Union of the vertex masks ``kernel(graph, members, *args)`` picks in each component."""
+    picked = 0
+    for members in _component_masks(graph):
+        picked |= kernel(graph, members, *args)
+    return picked
 
 
 def _require(graph: Graph, limit: int, what: str) -> None:
@@ -104,7 +106,7 @@ def sparing_number_exact(graph: Graph) -> SparingCertificate:
     first optimum found is the lexicographically smallest I.
     """
     _require(graph, SOLVER_VERTEX_LIMIT, "sparing solver")
-    independent = _union_per_component(graph, lambda sub: _min_cover_mask(sub, 0, sub.adj))
+    independent = tuple(_bits(_union_per_component(graph, _min_cover_mask, 0, graph.adj)))
     inside = set(independent)
     mono = tuple(e for e in graph.edges if e[0] not in inside and e[1] not in inside)
     labeling = construct_labeling(graph, independent)
@@ -139,7 +141,8 @@ def max_bipartite_subgraph(graph: Graph) -> BipartizationCertificate:
     Removed edges are the non-crossing edges of the optimal bipartition, so
     ``b + len(removed_edges) == m`` and the remaining graph is bipartite with
     the reported parts. Among optimal cuts the lexicographically smallest
-    removed-edge list wins, with vertex 0 on side 0.
+    removed-edge list wins, with the lowest vertex of each component on
+    side 0.
 
     Per component a depth-first branch and bound places the vertices in the
     order they first appear in the sorted edge list, which decides the
@@ -156,10 +159,10 @@ def max_bipartite_subgraph(graph: Graph) -> BipartizationCertificate:
     placement improved by single-vertex flips, which cuts at least m/2 edges.
     """
     _require(graph, SOLVER_VERTEX_LIMIT, "max-cut solver")
-    side1 = set(_union_per_component(graph, _max_cut_side))
-    removed = tuple(e for e in graph.edges if (e[0] in side1) == (e[1] in side1))
-    part1 = tuple(sorted(side1))
-    part0 = tuple(v for v in range(graph.n) if v not in side1)
+    side1 = _union_per_component(graph, _max_cut_side)
+    removed = tuple(e for e in graph.edges if not (side1 >> e[0] ^ side1 >> e[1]) & 1)
+    part1 = tuple(_bits(side1))
+    part0 = tuple(v for v in range(graph.n) if not side1 >> v & 1)
     return BipartizationCertificate(
         b=graph.m - len(removed), removed_edges=removed, bipartition=(part0, part1)
     )
@@ -170,16 +173,19 @@ def bipartization_number(graph: Graph) -> int:
     return graph.m - max_bipartite_subgraph(graph).b
 
 
-def _max_cut_side(graph: Graph) -> int:
-    """Side-1 mask of the maximum cut whose removed-edge list is smallest.
+def _max_cut_side(graph: Graph, members: int) -> int:
+    """Side-1 mask of the component's maximum cut whose removed-edge list is smallest.
 
-    The branch and bound described in ``max_bipartite_subgraph``: it
-    maximises the pair (cut, removed-edge mask), edge i at bit m-1-i.
+    The branch and bound described in ``max_bipartite_subgraph`` over the
+    component with vertex mask ``members``: it maximises the pair (cut,
+    removed-edge mask), edge i of the graph at bit m-1-i.
     """
-    n, adj, edges, m = graph.n, graph.adj, graph.edges, graph.m
-    order = list(dict.fromkeys([0, *(v for e in edges for v in e)]))
-    edge_bit = {e: 1 << (m - 1 - i) for i, e in enumerate(edges)}
-    incident = [0] * n
+    adj, m = graph.adj, graph.m
+    edge_bit = {e: 1 << (m - 1 - i) for i, e in enumerate(graph.edges) if members >> e[0] & 1}
+    low = (members & -members).bit_length() - 1
+    order = list(dict.fromkeys([low, *(v for e in edge_bit for v in e)]))
+    n = len(order)
+    incident = [0] * graph.n
     for (u, v), b in edge_bit.items():
         incident[u] |= b
         incident[v] |= b
@@ -205,7 +211,7 @@ def _max_cut_side(graph: Graph) -> int:
     open_bits = [0] * (n + 1)
     slack = [0] * (n + 1)
     open_adj: list[tuple[int, ...]] = [()] * (n + 1)
-    unused = [0] * n
+    unused = [0] * graph.n
     undecided = packed = inside = 0
     for d in range(n - 1, -1, -1):
         v = order[d]
@@ -228,7 +234,7 @@ def _max_cut_side(graph: Graph) -> int:
         slack[d] = open_bits[d].bit_count() - inside + min(inside - packed, k * k // 4)
         open_adj[d] = tuple(a for a in (adj[w] & ~undecided for w in order[d:]) if a)
 
-    best_side = _local_search_side(graph, order)
+    best_side = _local_search_side(graph, members, order)
     best_cut = best_mask = 0
     for (u, v), b in edge_bit.items():
         if (best_side >> u ^ best_side >> v) & 1:
@@ -259,17 +265,17 @@ def _max_cut_side(graph: Graph) -> int:
         removed1 = removed0 ^ back_bits[d]
         place(d + 1, side0, side1 | vb, cut + (back & side0).bit_count(), removed | removed1)
 
-    place(1, 1, 0, 0, 0)
+    place(1, vertex_bit[0], 0, 0, 0)
     return best_side
 
 
-def _local_search_side(graph: Graph, order: list[int]) -> int:
-    """Side-1 mask of a greedy cut improved by single-vertex flips, vertex 0 on side 0.
+def _local_search_side(graph: Graph, members: int, order: list[int]) -> int:
+    """Side-1 mask of a greedy cut of component ``members`` improved by flips, lowest on side 0.
 
     A flip is made while some vertex has more neighbours on its own side than
     across, so every vertex ends with at least half its edges cut: cut >= m/2.
     """
-    n, adj = graph.n, graph.adj
+    adj = graph.adj
     side1 = placed = 0
     for v in order:
         near = adj[v] & placed
@@ -279,13 +285,13 @@ def _local_search_side(graph: Graph, order: list[int]) -> int:
     improved = True
     while improved:
         improved = False
-        for v in range(n):
+        for v in _bits(members):
             same = adj[v] & (side1 if side1 >> v & 1 else ~side1)
             if 2 * same.bit_count() > adj[v].bit_count():
                 side1 ^= 1 << v
                 improved = True
-    if side1 & 1:
-        side1 ^= (1 << n) - 1
+    if side1 & members & -members:
+        side1 ^= members
     return side1
 
 
@@ -307,20 +313,17 @@ def maximum_matching(graph: Graph) -> tuple[int, tuple[Edge, ...]]:
     neighbour that keeps nu.
     """
     _require(graph, MATCHING_VERTEX_LIMIT, "matching solver")
-    total = 0
-    picked: list[Edge] = []
-    for sub, back in _per_component(graph):
-        size, local = _matching_component(sub)
-        total += size
-        picked.extend(tuple(sorted((back[u], back[v]))) for u, v in local)
-    return total, tuple(sorted(picked))
+    mate = [0] * graph.n
+    size = sum(_matching_component(graph, members, mate) for members in _component_masks(graph))
+    return size, tuple((v, u) for v, u in enumerate(mate) if u)
 
 
 def matching_number(graph: Graph) -> int:
     return maximum_matching(graph)[0]
 
 
-def _matching_component(graph: Graph) -> tuple[int, list[Edge]]:
+def _matching_component(graph: Graph, members: int, mate: list[int]) -> int:
+    """nu of the component ``members``; writes each witness edge (v, u), v < u, as mate[v] = u."""
     adj = graph.adj
     memo: dict[int, int] = {0: 0}
 
@@ -346,10 +349,8 @@ def _matching_component(graph: Graph) -> tuple[int, list[Edge]]:
         memo[mask] = best
         return best
 
-    full = (1 << graph.n) - 1
-    size = rec(full)
-    edges: list[Edge] = []
-    mask = full
+    size = rec(members)
+    mask = members
     while mask:
         low = mask & -mask
         v = low.bit_length() - 1
@@ -362,10 +363,10 @@ def _matching_component(graph: Graph) -> tuple[int, list[Edge]]:
             ub = nb & -nb
             nb ^= ub
             if 1 + rec(rest ^ ub) == rec(mask):
-                edges.append((v, ub.bit_length() - 1))
+                mate[v] = ub.bit_length() - 1
                 mask = rest ^ ub
                 break
-    return size, edges
+    return size
 
 
 # ---------------------------------------------------------------------------
@@ -384,22 +385,23 @@ def chromatic_number(graph: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """
     _require(graph, SOLVER_VERTEX_LIMIT, "chromatic solver")
     merged = [0] * graph.n
-    for sub, back in _per_component(graph):
-        for c, mask in enumerate(_color_classes(sub)):
-            merged[c] |= sum(1 << back[v] for v in _bits(mask))
+    for members in _component_masks(graph):
+        for c, mask in enumerate(_color_classes(graph, members)):
+            merged[c] |= mask
     classes = tuple(tuple(_bits(mask)) for mask in merged if mask)
     return len(classes), classes
 
 
-def _color_classes(graph: Graph) -> list[int]:
-    """Class masks of the first optimal coloring, in color order.
+def _color_classes(graph: Graph, members: int) -> list[int]:
+    """Class masks of the component's first optimal coloring, in color order.
 
-    Depth first over the vertices in ``(-degree, id)`` order; a branch stops
-    once it holds as many classes as the best coloring found so far, so only
-    a strictly smaller coloring replaces the incumbent.
+    Depth first over the vertices of ``members`` in ``(-degree, id)`` order; a
+    branch stops once it holds as many classes as the best coloring found so
+    far, so only a strictly smaller coloring replaces the incumbent.
     """
-    n, adj = graph.n, graph.adj
-    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    adj = graph.adj
+    order = sorted(_bits(members), key=lambda v: (-adj[v].bit_count(), v))
+    n = len(order)
     classes: list[int] = []
     best = [0] * (n + 1)  # longer than any coloring
 
@@ -439,7 +441,7 @@ def independence_number(graph: Graph) -> tuple[int, tuple[int, ...]]:
     set.
     """
     _require(graph, SOLVER_VERTEX_LIMIT, "independence solver")
-    independent = _union_per_component(graph, lambda sub: _min_cover_mask(sub, 1, (0,) * sub.n))
+    independent = tuple(_bits(_union_per_component(graph, _min_cover_mask, 1, (0,) * graph.n)))
     return len(independent), independent
 
 
@@ -452,12 +454,14 @@ def vertex_cover_number(graph: Graph) -> tuple[int, tuple[int, ...]]:
     return len(cover), cover
 
 
-def _min_cover_mask(graph: Graph, vertex_cost: int, edge_adj) -> int:
-    """Independent set I (a mask) whose cover C = V - I costs least.
+def _min_cover_mask(graph: Graph, members: int, vertex_cost: int, edge_adj) -> int:
+    """Independent set I (a mask) of a component whose cover C = members - I costs least.
 
-    A vertex u joining C costs ``vertex_cost + |edge_adj[u] & C|``. The walk
-    goes include-first in ascending id; a vertex joins C when excluded, or at
-    once when a chosen neighbour blocks it, so the running cost bounds every
+    ``members`` is the component's vertex mask. A vertex u joining C costs
+    ``vertex_cost + |edge_adj[u] & C|``. The walk starts with the other
+    components' vertices in the cover at no cost, so it skips them, and goes
+    include-first in ascending id; a vertex joins C when excluded, or at once
+    when a chosen neighbour blocks it, so the running cost bounds every
     completion, ``cost >= best`` prunes, and the first optimum found is the
     lexicographically smallest I. With ``vertex_cost > 0`` the bound adds
     ``vertex_cost`` per edge of a greedy maximal matching among the undecided
@@ -501,5 +505,5 @@ def _min_cover_mask(graph: Graph, vertex_cost: int, edge_adj) -> int:
         walk(idx + 1, blocked, grown)
         walk(idx + 1, cover | 1 << idx, cost + vertex_cost + (edge_adj[idx] & cover).bit_count())
 
-    walk(0, 0, 0)
-    return full & ~best_cover
+    walk(0, full & ~members, 0)
+    return members & ~best_cover

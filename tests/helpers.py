@@ -181,11 +181,19 @@ def brute_alpha(g: Graph) -> int:
     return best
 
 
-def _independent_subsets(g: Graph):
-    """Every independent vertex subset as a sorted tuple, read from the edge list only."""
-    for mask in range(1 << g.n):
-        if not any(mask >> u & 1 and mask >> v & 1 for u, v in g.edges):
-            yield tuple(v for v in range(g.n) if mask >> v & 1)
+def _independent_subsets(g: Graph) -> list[tuple[int, ...]]:
+    """Every independent vertex subset as a sorted tuple, read from the edge list only.
+
+    Grown vertex by vertex: v joins each subset holding none of its smaller
+    neighbours.
+    """
+    smaller = [0] * g.n
+    for u, v in g.edges:
+        smaller[max(u, v)] |= 1 << min(u, v)
+    masks = [0]
+    for v in range(g.n):
+        masks += [s | 1 << v for s in masks if not s & smaller[v]]
+    return [tuple(v for v in range(g.n) if s >> v & 1) for s in masks]
 
 
 def brute_sparing_witness(g: Graph) -> tuple[int, ...]:
@@ -232,20 +240,26 @@ def random_independent_set(rng: random.Random, g: Graph) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
-def all_connected_graphs(n: int):
-    """Every labeled connected graph on exactly n >= 2 vertices."""
+def all_graphs(n: int, connected: bool):
+    """Every labeled graph on exactly n >= 2 vertices with no isolated vertex.
+
+    With ``connected`` only the connected ones, otherwise the disconnected
+    ones too.
+    """
     pairs = list(itertools.combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
-        if mask.bit_count() < n - 1:
+        if connected and mask.bit_count() < n - 1:
             continue
         adj = [0] * n
         for i, (u, v) in enumerate(pairs):
             if mask >> i & 1:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
+        if not all(adj):
+            continue
         seen = 1
         frontier = 1
-        while frontier:
+        while connected and frontier:
             nxt = 0
             while frontier:
                 low = frontier & -frontier
@@ -253,6 +267,6 @@ def all_connected_graphs(n: int):
                 nxt |= adj[low.bit_length() - 1]
             frontier = nxt & ~seen
             seen |= nxt
-        if seen != (1 << n) - 1:
+        if connected and seen != (1 << n) - 1:
             continue
         yield build_graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])

@@ -10,7 +10,6 @@ from weakiasi import (
     connected_components,
     cycle_graph,
     decompose_into_cycles,
-    induced_subgraph,
     is_bipartite,
     is_cycle_graph,
     is_path_graph,
@@ -205,12 +204,6 @@ class TestStructure:
     def test_components(self):
         g = build_graph(6, [(0, 3), (1, 4), (2, 5)])
         assert connected_components(g) == ((0, 3), (1, 4), (2, 5))
-
-    def test_induced_subgraph_mapping(self):
-        g = cycle_graph(5)
-        sub, back = induced_subgraph(g, [1, 2, 3])
-        assert back == (1, 2, 3)
-        assert sub.edges == ((0, 1), (1, 2))
 
     def test_remove_edges(self):
         g = cycle_graph(4)

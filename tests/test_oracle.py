@@ -15,7 +15,7 @@ from weakiasi import (
 )
 from weakiasi.errors import IsolatedVertexError
 
-from helpers import all_connected_graphs, is_independent, random_connected_graph
+from helpers import all_graphs, is_independent, random_connected_graph
 
 
 class TestOracleValues:
@@ -54,7 +54,7 @@ class TestCrossValidation:
 
     def test_exhaustive_small_graphs(self):
         for n in (2, 3, 4):
-            for g in all_connected_graphs(n):
+            for g in all_graphs(n, connected=True):
                 assert cross_validate(g).agree
 
 
@@ -62,7 +62,7 @@ class TestPatternEquivalence:
     def test_feasibility_iff_independent_pattern(self):
         """Weakness of a pattern labeling, judged purely from sumsets, must
         coincide with the pattern being an independent set (both directions)."""
-        graphs = list(all_connected_graphs(4))
+        graphs = list(all_graphs(4, connected=True))
         rng = random.Random(9090)
         graphs += [random_connected_graph(rng, 6) for _ in range(12)]
         for g in graphs:

@@ -73,6 +73,12 @@ def test_labeling_keys_are_checked_and_normalized():
     assert labeling == (labeling.vertex_labels,)
     with pytest.raises(ValueError):
         weakiasi.IasiLabeling({"02": [1]})
+    # the named tuple's copy constructors go through the same checks
+    replaced = weakiasi.IasiLabeling({0: [2, 1]})._replace(vertex_labels={"0": [2, 1, 1]})
+    assert replaced.vertex_labels == {0: (1, 2)} and replaced.label(0) == (1, 2)
+    assert weakiasi.IasiLabeling._make([{"1": [3, 3]}]).vertex_labels == {1: (3,)}
+    with pytest.raises(ValueError):
+        labeling._replace(vertex_labels={"+1": [1]})
 
 
 def test_lazy_names_resolve_to_their_module_and_are_not_cached():

@@ -9,6 +9,7 @@ from weakiasi import (
     build_graph,
     chromatic_number,
     complete_graph,
+    connected_components,
     cycle_graph,
     independence_number,
     is_bipartite,
@@ -25,7 +26,7 @@ from weakiasi import (
 )
 
 from helpers import (
-    all_connected_graphs,
+    all_graphs,
     bowtie,
     brute_alpha,
     brute_alpha_witness,
@@ -159,12 +160,22 @@ class TestMaxCut:
             assert max_bipartite_subgraph(g).b == brute_max_cut(g)
 
     def test_certificate_matches_exhaustive_search(self):
+        # the brute force fixes only vertex 0, so the bipartition is checked by
+        # its own rule: the removed edges are exactly the edges within a side,
+        # and the lowest vertex of each component is on side 0. The kept edges
+        # of a maximum cut connect each component (else flipping one part
+        # would cut more), so the rule fixes the bipartition
         rng = random.Random(909)
-        graphs = [g for n in range(2, 6) for g in all_connected_graphs(n)]
+        graphs = [g for n in range(2, 7) for g in all_graphs(n, connected=False)]
         graphs += [random_connected_graph(rng, rng.randint(6, 10)) for _ in range(20)]
         for g in graphs:
             cert = max_bipartite_subgraph(g)
-            assert (cert.b, cert.removed_edges, cert.bipartition) == brute_max_cut_certificate(g)
+            assert (cert.b, cert.removed_edges) == brute_max_cut_certificate(g)[:2]
+            part0, part1 = cert.bipartition
+            assert sorted(part0 + part1) == list(range(g.n))
+            side1 = set(part1)
+            assert cert.removed_edges == tuple(e for e in g.edges if (e[0] in side1) == (e[1] in side1))
+            assert not side1 & {members[0] for members in connected_components(g)}
 
     @pytest.mark.parametrize("n", range(2, 19))
     def test_complete_graph_closed_form(self, n):
@@ -292,7 +303,7 @@ def test_chromatic_witness_matches_exhaustive_search():
     # the witness is the first optimal coloring in (-degree, id) order, each
     # vertex taking the smallest color that still leads to an optimum
     rng = random.Random(1979)
-    graphs = [g for n in range(2, 6) for g in all_connected_graphs(n)]
+    graphs = [g for n in range(2, 6) for g in all_graphs(n, connected=True)]
     graphs += [random_connected_graph(rng, rng.randint(6, 9)) for _ in range(20)]
     for g in graphs:
         want = brute_chromatic_witness(g)
@@ -380,7 +391,7 @@ def test_independent_set_witnesses_match_exhaustive_search():
     # phi, alpha and beta are one search over independent sets with different
     # costs; every witness must be the lexicographically smallest optimum
     rng = random.Random(404)
-    graphs = [g for n in range(2, 6) for g in all_connected_graphs(n)]
+    graphs = [g for n in range(2, 7) for g in all_graphs(n, connected=False)]
     graphs += [random_connected_graph(rng, rng.randint(6, 12)) for _ in range(20)]
     for g in graphs:
         assert sparing_number_exact(g).independent_set == brute_sparing_witness(g)
@@ -395,7 +406,7 @@ def test_matching_witness_matches_exhaustive_search():
     # the witness leaves the lowest vertex unmatched when nu allows it and
     # otherwise matches it to its smallest neighbour that keeps nu
     rng = random.Random(2419)
-    graphs = [g for n in range(2, 7) for g in all_connected_graphs(n)]
+    graphs = [g for n in range(2, 7) for g in all_graphs(n, connected=False)]
     graphs += [random_connected_graph(rng, rng.randint(7, 10)) for _ in range(20)]
     for g in graphs:
         assert maximum_matching(g) == brute_matching_witness(g)
