@@ -13,9 +13,9 @@ import time
 import click
 
 from . import __version__, io
-from .errors import WeakIasiError
-from .graph import Graph, degree_stats, named_catalog, named_graph
-from .solvers import max_bipartite_subgraph, sparing_number_exact
+from .errors import TooLargeError, WeakIasiError
+from .graph import GRAPH_FAMILIES, Graph, degree_stats, named_catalog, named_graph
+from .solvers import SOLVER_VERTEX_LIMIT, max_bipartite_subgraph, sparing_number_exact
 
 # theorems and oracle are imported only by the commands that call them
 
@@ -45,6 +45,13 @@ def _resolve_graph(named: str | None, param: int | None, graph_path: str | None)
     if (named is None) == (graph_path is None):
         raise click.UsageError("provide exactly one of --named or --graph")
     if named is not None:
+        key = named.strip().lower()
+        if key in GRAPH_FAMILIES and param is not None:
+            # every --named command stops at the solver limit, so refuse a family
+            # member above it before building it: complete(n) has n(n-1)/2 edges
+            order = param + 1 if key == "star" else param
+            if order > SOLVER_VERTEX_LIMIT:
+                raise TooLargeError(f"--named {key}", order, SOLVER_VERTEX_LIMIT)
         graph = named_graph(named, param)
         label = named if param is None else f"{named}({param})"
     else:

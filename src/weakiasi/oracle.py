@@ -29,7 +29,7 @@ def sparing_oracle(graph: Graph) -> tuple[int, IasiLabeling]:
         pattern = [v for v in range(graph.n) if mask >> v & 1]
         labeling = pattern_labeling(graph, pattern)
         report = verify_iasi(graph, labeling)
-        if not (report.vertex_injective and report.edge_injective and report.weak):
+        if not report.valid_weak:
             continue
         mono = sum(1 for k in report.edge_indexing_numbers.values() if k == 1)
         if best_count is None or mono < best_count:

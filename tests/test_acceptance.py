@@ -21,9 +21,6 @@ import random
 from weakiasi import (
     bipartization_number,
     build_graph,
-    check_cover_theorems,
-    check_odd_cycle_decomposition,
-    check_union_formula,
     chromatic_number,
     complete_graph,
     construct_labeling,
@@ -36,10 +33,15 @@ from weakiasi import (
     path_graph,
     remove_edges,
     sparing_number_exact,
-    sparing_oracle,
     sumset,
     verify_iasi,
     vertex_cover_number,
+)
+from weakiasi.oracle import sparing_oracle
+from weakiasi.theorems import (
+    check_cover_theorems,
+    check_odd_cycle_decomposition,
+    check_union_formula,
 )
 
 from helpers import (

@@ -4,6 +4,7 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
+import weakiasi.graph
 from weakiasi import named_graph
 from weakiasi.cli import main
 from weakiasi.io import dump_edge_list, dump_graph_json
@@ -87,10 +88,25 @@ class TestSparingCommand:
         result = run_cli("sparing", "--named", "heawood")
         assert result.exit_code != 0
 
-    def test_limit_error_names_bound(self):
+    def test_limit_error_names_bound(self, monkeypatch):
         result = run_cli("sparing", "--named", "cycle", "--param", "40")
         assert result.exit_code != 0
         assert "32" in result.output
+
+        # a family member above the limit is refused before any edge is built
+        def no_build(*args, **kwargs):
+            raise AssertionError("build_graph called")
+
+        monkeypatch.setattr(weakiasi.graph, "build_graph", no_build)
+        for args in (
+            ("sparing", "--named", "complete", "--param", "1000"),
+            ("check-theorems", "--named", "complete", "--param", "1000"),
+            ("oracle", "--named", "complete", "--param", "1000"),
+            ("sparing", "--named", "star", "--param", "32"),
+        ):
+            result = run_cli(*args)
+            assert result.exit_code == 1 and isinstance(result.exception, SystemExit), args
+            assert "Error:" in result.output and "at most 32 vertices" in result.output, args
 
     def test_unwritable_dot_path_is_input_error_without_traceback(self, tmp_path):
         dot_file = tmp_path / "missing-dir" / "out.dot"

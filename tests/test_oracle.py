@@ -7,13 +7,12 @@ from weakiasi import (
     build_graph,
     complete_graph,
     cycle_graph,
-    cross_validate,
     pattern_labeling,
     remove_edges,
-    sparing_oracle,
     verify_iasi,
 )
 from weakiasi.errors import IsolatedVertexError
+from weakiasi.oracle import cross_validate, sparing_oracle
 
 from helpers import all_graphs, is_independent, random_connected_graph
 

@@ -1,8 +1,14 @@
 import pytest
 
 from weakiasi import (
-    GRAPH_CHECKERS,
     build_graph,
+    complete_graph,
+    cycle_graph,
+    named_graph,
+    path_graph,
+)
+from weakiasi.theorems import (
+    GRAPH_CHECKERS,
     check_bipartization_theorem,
     check_chi_phi_gap,
     check_chromatic_class_formula,
@@ -10,10 +16,6 @@ from weakiasi import (
     check_matching_formula,
     check_odd_cycle_decomposition,
     check_union_formula,
-    complete_graph,
-    cycle_graph,
-    named_graph,
-    path_graph,
     run_all_checkers,
 )
 
