@@ -406,20 +406,16 @@ def remove_edges(graph: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
     return build_graph(graph.n, [e for e in graph.edges if e not in doomed], graph.names)
 
 
-def is_connected(graph: Graph) -> bool:
-    return graph.n == 0 or len(connected_components(graph)) == 1
-
-
 def is_cycle_graph(graph: Graph) -> bool:
     return (
         graph.n >= 3
-        and is_connected(graph)
+        and len(connected_components(graph)) == 1
         and all(d == 2 for d in graph.degrees())
     )
 
 
 def is_path_graph(graph: Graph) -> bool:
-    if graph.n < 2 or not is_connected(graph):
+    if graph.n < 2 or len(connected_components(graph)) != 1:
         return False
     degs = sorted(graph.degrees())
     return degs[:2] == [1, 1] and all(d == 2 for d in degs[2:])

@@ -117,13 +117,18 @@ def load_graph_text(text: str) -> Graph:
     return parse_edge_list(text)
 
 
-def load_graph(path: str) -> Graph:
+def _load(path: str, parse):
+    """Read a UTF-8 file and parse it; a parse error names the file."""
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
     try:
-        return load_graph_text(text)
+        return parse(text)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def load_graph(path: str) -> Graph:
+    return _load(path, load_graph_text)
 
 
 def dump_labeling_json(labeling: IasiLabeling) -> str:
@@ -135,12 +140,7 @@ def parse_labeling_json(text: str) -> IasiLabeling:
 
 
 def load_labeling(path: str) -> IasiLabeling:
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    try:
-        return parse_labeling_json(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return _load(path, parse_labeling_json)
 
 
 def to_dot(graph: Graph, edge_classes: Mapping[Edge, str] | None = None, name: str = "G") -> str:

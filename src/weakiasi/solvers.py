@@ -169,7 +169,14 @@ def max_bipartite_subgraph(graph: Graph) -> BipartizationCertificate:
 
 
 def bipartization_number(graph: Graph) -> int:
-    """Minimum number of edge removals leaving a bipartite graph: m - b."""
+    """Minimum number of edge removals leaving a bipartite graph: m - b.
+
+    It is at most the sparing number: phi >= m - b. For an independent set I
+    the edges touching I are exactly the cut (I, V - I), so m - phi is the
+    largest cut with an independent side, and no cut exceeds b. Equality holds
+    iff some maximum cut has an independent side; the Durer graph (phi 6,
+    m - b 4) shows the gap.
+    """
     return graph.m - max_bipartite_subgraph(graph).b
 
 

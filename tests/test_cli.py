@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from click.testing import CliRunner
@@ -8,6 +11,8 @@ import weakiasi.graph
 from weakiasi import named_graph
 from weakiasi.cli import main
 from weakiasi.io import dump_edge_list, dump_graph_json
+
+SRC = Path(weakiasi.graph.__file__).resolve().parents[1]
 
 
 def run_cli(*args):
@@ -123,6 +128,20 @@ class TestSparingCommand:
         assert result.exit_code != 0
         assert "line 3" in result.output
 
+        # every command that reads a graph file reports it as one clean error line
+        labeling_file = tmp_path / "lab.json"
+        labeling_file.write_text(json.dumps({"vertex_labels": {"0": [0]}}))
+        for args in (
+            ("sparing", "--graph", str(path)),
+            ("check-theorems", "--graph", str(path)),
+            ("oracle", "--graph", str(path)),
+            ("verify", "--graph", str(path), "--labeling", str(labeling_file)),
+        ):
+            result = run_cli(*args)
+            assert result.exit_code == 1 and isinstance(result.exception, SystemExit), args
+            assert "Error:" in result.output and "line 3" in result.output, args
+            assert "Traceback" not in result.output, args
+
 
 class TestCheckTheoremsCommand:
     def test_grotzsch_reports_all_checkers(self):
@@ -160,6 +179,20 @@ class TestNamedCommand:
         assert len(catalog["families"]) == 4
         petersen = catalog["named"][0]
         assert (petersen["vertices"], petersen["edges"]) == (10, 15)
+
+    def test_closed_stdout_is_not_an_input_error(self):
+        # as in `weakiasi named | true`: the reader is gone before the report is written
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "weakiasi.cli", "named"],
+                cwd=SRC, stdout=write_end, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
 
 
 class TestOracleCommand:
