@@ -49,7 +49,7 @@ def _resolve_graph(named: str | None, param: int | None, graph_path: str | None)
         order = param + 1 if key == "star" else param
         if order > SOLVER_VERTEX_LIMIT:
             raise TooLargeError(f"--named {key}", order, SOLVER_VERTEX_LIMIT)
-    return named_graph(named, param), named if param is None else f"{named}({param})"
+    return named_graph(named, param), key if param is None else f"{key}({param})"
 
 
 def _flag(value: bool) -> str:
@@ -113,9 +113,9 @@ def cmd_sparing(named, param, graph_path, include_labeling, dot_path, json_inden
         "phi": certificate.phi,
         "bipartization_number": removal_count,
         "mismatch": mismatch,
-        "independent_set": list(certificate.independent_set),
-        "mono_edges": [list(e) for e in certificate.mono_edges],
-        "removed_edges": [list(e) for e in bipartization.removed_edges],
+        "independent_set": certificate.independent_set,
+        "mono_edges": certificate.mono_edges,
+        "removed_edges": bipartization.removed_edges,
         "b": bipartization.b,
     }
     if include_labeling:

@@ -37,6 +37,21 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _to_json(value):
+    """``value`` in JSON's own types, the one encoder behind the records' ``to_json_dict``.
+
+    A record (anything with ``_asdict``) becomes an object of its fields, a
+    mapping gets ``str`` keys, and a tuple or list becomes a list.
+    """
+    if hasattr(value, "_asdict"):
+        value = value._asdict()
+    if isinstance(value, Mapping):
+        return {str(k): _to_json(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_to_json(v) for v in value]
+    return value
+
+
 class Graph(NamedTuple):
     """Simple undirected graph: no loops, no parallel edges, no isolated vertices.
 

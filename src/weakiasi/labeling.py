@@ -13,14 +13,19 @@ from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import MissingLabelError, NotIndependentError, NotWeakError
-from .graph import Edge, Graph, by_vertex_id
+from .graph import Edge, Graph, _to_json, by_vertex_id
 
 Label = tuple[int, ...]
 
 
 def make_label(values: Iterable[int]) -> Label:
-    """Normalize to a sorted, duplicate-free label; rejects empty and negative."""
-    label = tuple(sorted({int(x) for x in values}))
+    """Normalize to a sorted, duplicate-free label; rejects empty, negative and non-``int``."""
+    values = tuple(values)
+    # type() rather than isinstance(): bool is a subclass of int
+    bad = [x for x in values if type(x) is not int]
+    if bad:
+        raise ValueError(f"set-labels contain integers only, got {bad[0]!r}")
+    label = tuple(sorted(set(values)))
     if not label:
         raise ValueError("set-labels must be non-empty")
     if label[0] < 0:
@@ -66,12 +71,7 @@ class IasiLabeling(_LabelingFields):
         except KeyError:
             raise MissingLabelError(v) from None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "vertex_labels": {
-                str(v): list(self.vertex_labels[v]) for v in sorted(self.vertex_labels)
-            }
-        }
+    to_json_dict = _to_json
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "IasiLabeling":
@@ -103,22 +103,8 @@ class LabelingReport(NamedTuple):
         return self.vertex_injective and self.edge_injective and self.weak
 
     def to_json_dict(self) -> dict:
-        return {
-            "vertex_injective": self.vertex_injective,
-            "edge_injective": self.edge_injective,
-            "weak": self.weak,
-            "valid_weak": self.valid_weak,
-            "vertex_collision": list(self.vertex_collision) if self.vertex_collision else None,
-            "edge_collision": (
-                [list(self.edge_collision[0]), list(self.edge_collision[1])]
-                if self.edge_collision
-                else None
-            ),
-            "weak_violation": list(self.weak_violation) if self.weak_violation else None,
-            "edge_indexing_numbers": [
-                [e[0], e[1], k] for e, k in sorted(self.edge_indexing_numbers.items())
-            ],
-        }
+        numbers = [[u, v, k] for (u, v), k in sorted(self.edge_indexing_numbers.items())]
+        return {**_to_json(self._replace(edge_indexing_numbers=numbers)), "valid_weak": self.valid_weak}
 
 
 def verify_iasi(graph: Graph, labeling: IasiLabeling) -> LabelingReport:
@@ -196,6 +182,16 @@ def spread_values(count: int) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _vertex_set(graph: Graph, vertices: Iterable[int]) -> set[int]:
+    """``vertices`` as a set of vertex ids of ``graph``; anything else raises ``ValueError``."""
+    chosen = tuple(vertices)
+    for v in chosen:
+        # type() rather than isinstance(): True would pass for vertex 1
+        if type(v) is not int or not 0 <= v < graph.n:
+            raise ValueError(f"vertex {v!r} is not an int in 0..{graph.n - 1}")
+    return set(chosen)
+
+
 def pattern_labeling(graph: Graph, non_singleton: Iterable[int]) -> IasiLabeling:
     """Deterministic labeling whose 2-element labels sit exactly on ``non_singleton``.
 
@@ -204,10 +200,7 @@ def pattern_labeling(graph: Graph, non_singleton: Iterable[int]) -> IasiLabeling
     depends on the pattern (an edge between two non-singleton vertices gets a
     3-element sumset), which a verifier rediscovers from the arithmetic.
     """
-    pattern = {int(v) for v in non_singleton}
-    for v in pattern:
-        if not (0 <= v < graph.n):
-            raise ValueError(f"vertex {v} out of range 0..{graph.n - 1}")
+    pattern = _vertex_set(graph, non_singleton)
     base = spread_values(graph.n)
     labels: dict[int, Label] = {}
     for v in range(graph.n):
@@ -222,13 +215,8 @@ def construct_labeling(graph: Graph, independent: Iterable[int]) -> IasiLabeling
     weak) and its mono-indexed edges are exactly the edges avoiding the set.
     Raises ``NotIndependentError`` on the first adjacent pair found.
     """
-    chosen = sorted({int(v) for v in independent})
-    for v in chosen:
-        if not (0 <= v < graph.n):
-            raise ValueError(f"vertex {v} out of range 0..{graph.n - 1}")
-    mask = 0
-    for v in chosen:
-        mask |= 1 << v
+    chosen = sorted(_vertex_set(graph, independent))
+    mask = sum(1 << v for v in chosen)
     for u in chosen:
         later = graph.adj[u] & mask & ~((1 << (u + 1)) - 1)
         if later:

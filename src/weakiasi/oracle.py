@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import TooLargeError
-from .graph import Graph
+from .graph import Graph, _to_json
 from .labeling import IasiLabeling, pattern_labeling, verify_iasi
 from .solvers import SparingCertificate, sparing_number_exact
 
@@ -45,14 +45,7 @@ class CrossValidation(NamedTuple):
     oracle_labeling: IasiLabeling
     certificate: SparingCertificate
 
-    def to_json_dict(self) -> dict:
-        return {
-            "agree": self.agree,
-            "oracle_phi": self.oracle_phi,
-            "solver_phi": self.solver_phi,
-            "oracle_labeling": self.oracle_labeling.to_json_dict(),
-            "certificate": self.certificate.to_json_dict(),
-        }
+    to_json_dict = _to_json
 
 
 def cross_validate(graph: Graph) -> CrossValidation:

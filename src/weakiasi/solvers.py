@@ -43,7 +43,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import TooLargeError
-from .graph import Edge, Graph, _bits, connected_components
+from .graph import Edge, Graph, _bits, _to_json, connected_components
 from .labeling import IasiLabeling, construct_labeling
 
 SOLVER_VERTEX_LIMIT = 32
@@ -86,13 +86,7 @@ class SparingCertificate(NamedTuple):
     mono_edges: tuple[Edge, ...]
     labeling: IasiLabeling
 
-    def to_json_dict(self) -> dict:
-        return {
-            "phi": self.phi,
-            "independent_set": list(self.independent_set),
-            "mono_edges": [list(e) for e in self.mono_edges],
-            "labeling": self.labeling.to_json_dict(),
-        }
+    to_json_dict = _to_json
 
 
 def sparing_number_exact(graph: Graph) -> SparingCertificate:
@@ -127,12 +121,7 @@ class BipartizationCertificate(NamedTuple):
     removed_edges: tuple[Edge, ...]
     bipartition: tuple[tuple[int, ...], tuple[int, ...]]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "b": self.b,
-            "removed_edges": [list(e) for e in self.removed_edges],
-            "bipartition": [list(self.bipartition[0]), list(self.bipartition[1])],
-        }
+    to_json_dict = _to_json
 
 
 def max_bipartite_subgraph(graph: Graph) -> BipartizationCertificate:

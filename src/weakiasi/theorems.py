@@ -12,6 +12,7 @@ from typing import Mapping, NamedTuple
 
 from .graph import (
     Graph,
+    _to_json,
     build_graph,
     decompose_into_cycles,
     is_cycle_graph,
@@ -43,23 +44,15 @@ class TheoremReport(NamedTuple):
     verdict: str
     witness: Mapping
 
-    def to_json_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "inputs": dict(self.inputs),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "verdict": self.verdict,
-            "witness": dict(self.witness),
-        }
+    to_json_dict = _to_json
 
 
 def _describe(graph: Graph) -> dict:
     return {"n": graph.n, "m": graph.m}
 
 
-def _verdict(lhs: int, rhs: int) -> str:
-    return HOLDS if lhs == rhs else FAILS
+def _report(theorem: str, inputs: Mapping, lhs: int, rhs: int, witness: Mapping) -> TheoremReport:
+    return TheoremReport(theorem, inputs, lhs, rhs, HOLDS if lhs == rhs else FAILS, witness)
 
 
 def _not_applicable(theorem: str, inputs: dict, hypothesis: str, extra: dict | None = None) -> TheoremReport:
@@ -85,9 +78,7 @@ def check_chromatic_class_formula(graph: Graph) -> TheoremReport:
         "class_sizes_desc": [len(classes[c]) for c in order],
         "largest_classes": [sorted(classes[c]) for c in order[:2]],
     }
-    return TheoremReport(
-        "chromatic-class-formula", _describe(graph), lhs, rhs, _verdict(lhs, rhs), witness
-    )
+    return _report("chromatic-class-formula", _describe(graph), lhs, rhs, witness)
 
 
 def check_chi_phi_gap(graph: Graph) -> TheoremReport:
@@ -99,7 +90,7 @@ def check_chi_phi_gap(graph: Graph) -> TheoremReport:
     phi = sparing_number_exact(graph).phi
     lhs = chi - phi
     witness = {"chromatic_number": chi, "phi": phi}
-    return TheoremReport("chi-phi-gap", inputs, lhs, 2, _verdict(lhs, 2), witness)
+    return _report("chi-phi-gap", inputs, lhs, 2, witness)
 
 
 def check_matching_formula(graph: Graph) -> TheoremReport:
@@ -115,7 +106,7 @@ def check_matching_formula(graph: Graph) -> TheoremReport:
     lhs = sparing_number_exact(graph).phi
     rhs = (graph.n + 1) // 2 - nu
     witness = {"matching_number": nu, "half_ceiling": (graph.n + 1) // 2}
-    return TheoremReport("matching-formula", inputs, lhs, rhs, _verdict(lhs, rhs), witness)
+    return _report("matching-formula", inputs, lhs, rhs, witness)
 
 
 def check_union_formula(
@@ -176,7 +167,7 @@ def check_union_formula(
         "isolated_shared_vertices": isolated_shared,
     }
     inputs = {"g1": _describe(g1), "g2": _describe(g2), "shared_vertices": len(shared)}
-    return TheoremReport("union-additivity", inputs, lhs, rhs, _verdict(lhs, rhs), witness)
+    return _report("union-additivity", inputs, lhs, rhs, witness)
 
 
 def check_odd_cycle_decomposition(graph: Graph) -> TheoremReport:
@@ -223,9 +214,7 @@ def check_odd_cycle_decomposition(graph: Graph) -> TheoremReport:
         )
     lhs = sparing_number_exact(graph).phi
     rhs = sum((s + 1) // 2 for s in sizes) - nu
-    return TheoremReport(
-        "odd-cycle-decomposition", inputs, lhs, rhs, _verdict(lhs, rhs), witness
-    )
+    return _report("odd-cycle-decomposition", inputs, lhs, rhs, witness)
 
 
 def check_cover_theorems(graph: Graph) -> TheoremReport:
@@ -254,9 +243,7 @@ def check_cover_theorems(graph: Graph) -> TheoremReport:
         ),
         "alpha_plus_beta_equals_n": alpha + beta == graph.n,
     }
-    return TheoremReport(
-        "cover-independence", _describe(graph), lhs, beta, _verdict(lhs, beta), witness
-    )
+    return _report("cover-independence", _describe(graph), lhs, beta, witness)
 
 
 def check_bipartization_theorem(graph: Graph) -> TheoremReport:
@@ -273,9 +260,7 @@ def check_bipartization_theorem(graph: Graph) -> TheoremReport:
         "sparing_certificate": certificate.to_json_dict(),
         "bipartization_certificate": bipartization.to_json_dict(),
     }
-    return TheoremReport(
-        "bipartization-equals-sparing", _describe(graph), lhs, rhs, _verdict(lhs, rhs), witness
-    )
+    return _report("bipartization-equals-sparing", _describe(graph), lhs, rhs, witness)
 
 
 GRAPH_CHECKERS = (

@@ -55,11 +55,18 @@ class TestSparingCommand:
         assert timings["load"] + timings["solve"] <= timings["total"] + 0.002
 
     def test_cycle_family(self):
-        report = payload(run_cli("sparing", "--named", "cycle", "--param", "5"))
+        # the label is the normalised name, whatever case the name was typed in
+        result = run_cli("sparing", "--named", "CYCLE", "--param", "5")
+        report = payload(result)
         assert report["results"]["phi"] == 1
+        assert report["input"] == "cycle(5)"
+        assert result.stderr.startswith("cycle(5): phi=1 ")
 
     def test_durer_mismatch_flagged(self):
-        report = payload(run_cli("sparing", "--named", "durer"))
+        result = run_cli("sparing", "--named", " durer")
+        report = payload(result)
+        assert report["input"] == "durer"
+        assert result.stderr.startswith("durer: phi=6 ")
         assert report["results"]["phi"] == 6
         assert report["results"]["bipartization_number"] == 4
         assert report["results"]["mismatch"] is True

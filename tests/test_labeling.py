@@ -41,6 +41,12 @@ class TestSumset:
             make_label([])
         with pytest.raises(ValueError):
             make_label([-1, 2])
+        # non-integers are refused, never truncated; bool is not a vertex label value
+        for bad in ([True, 3], [3.9], ["2"]):
+            with pytest.raises(ValueError):
+                make_label(bad)
+        with pytest.raises(ValueError):
+            IasiLabeling({0: [2.7]})
         assert make_label([3, 1, 3]) == (1, 3)
 
     @given(labels, labels)
@@ -160,6 +166,12 @@ class TestConstruction:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             construct_labeling(cycle_graph(4), (0, 9))
+        # a vertex id is an int: 0.9 is not vertex 0, "2" not vertex 2, True not vertex 1
+        for bad in ([0.9], ["2"], [True], [-1]):
+            with pytest.raises(ValueError):
+                construct_labeling(cycle_graph(5), bad)
+            with pytest.raises(ValueError):
+                pattern_labeling(cycle_graph(5), bad)
 
     def test_label_shapes(self):
         g = cycle_graph(5)

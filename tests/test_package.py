@@ -1,5 +1,6 @@
 """What the package costs to import, and what its records and exports promise."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -8,11 +9,15 @@ import pytest
 
 import weakiasi
 from weakiasi import (
+    IasiLabeling,
     construct_labeling,
+    cycle_graph,
     max_bipartite_subgraph,
     named_graph,
     sparing_number_exact,
+    verify_iasi,
 )
+from weakiasi.oracle import cross_validate
 from weakiasi.theorems import run_all_checkers
 
 SRC = Path(weakiasi.__file__).resolve().parents[1]
@@ -42,8 +47,24 @@ FIELDS = {
 }
 
 
+# every record with a to_json_dict; LabelingReport's JSON adds the valid_weak flag
+JSON_FIELDS = {
+    **{kind: fields for kind, fields in FIELDS.items() if kind != "Graph"},
+    "LabelingReport": (
+        "vertex_injective", "edge_injective", "weak", "vertex_collision", "edge_collision",
+        "weak_violation", "edge_indexing_numbers", "valid_weak",
+    ),
+    "CrossValidation": ("agree", "oracle_phi", "solver_phi", "oracle_labeling", "certificate"),
+}
+
+
 def _record(kind):
     graph = named_graph("petersen")
+    if kind == "LabelingReport":
+        # one shared label: every collision and violation field holds a witness
+        return verify_iasi(graph, IasiLabeling({v: (0, 1) for v in range(graph.n)}))
+    if kind == "CrossValidation":
+        return cross_validate(cycle_graph(5))
     if kind == "Graph":
         return graph
     if kind == "IasiLabeling":
@@ -66,6 +87,16 @@ def test_record_fields_cannot_be_assigned(kind):
         assert getattr(record, field) is value
     with pytest.raises(AttributeError):
         record.extra = None
+
+
+@pytest.mark.parametrize("kind", sorted(JSON_FIELDS))
+def test_record_json_is_plain_json(kind):
+    record = _record(kind)
+    assert type(record).__name__ == kind
+    data = record.to_json_dict()
+    # a tuple or a non-string key would not survive the round trip unchanged
+    assert json.loads(json.dumps(data)) == data
+    assert set(data) == set(JSON_FIELDS[kind])
 
 
 def test_labeling_keys_are_checked_and_normalized():
