@@ -41,7 +41,7 @@ class TestSumset:
             make_label([])
         with pytest.raises(ValueError):
             make_label([-1, 2])
-        # non-integers are refused, never truncated; bool is not a vertex label value
+        # a value that is not an int is refused, never truncated, and so is a bool
         for bad in ([True, 3], [3.9], ["2"]):
             with pytest.raises(ValueError):
                 make_label(bad)
