@@ -112,8 +112,13 @@ def verify_iasi(graph: Graph, labeling: IasiLabeling) -> LabelingReport:
 
     Vertices and edges are scanned in ascending order, so the recorded
     witnesses are the first violations. Raises ``MissingLabelError`` when a
-    vertex of the graph has no label.
+    vertex of the graph has no label, and ``ValueError`` naming the lowest
+    labeled vertex the graph does not have, so a labeling made for another
+    graph does not pass.
     """
+    extra = [v for v in labeling.vertex_labels if not 0 <= v < graph.n]
+    if extra:
+        raise ValueError(f"labeling labels vertex {min(extra)}, which the graph does not have")
     labels = [labeling.label(v) for v in range(graph.n)]
 
     vertex_collision = None

@@ -13,9 +13,10 @@ heuristics.
 The sparing, independence and cover numbers share one search over the
 independent sets I, ``_min_cover_mask``: unit vertex costs on the cover
 C = V - I give beta = |C| and alpha = n - |C|; edge costs give
-phi = |E(G[C])|. With vertex costs a greedy matching among the undecided
-vertices bounds the walk from below, since each of its edges puts a distinct
-vertex into C.
+phi = |E(G[C])|. With vertex costs a greedy clique cover of the undecided
+vertices bounds the walk from below: I holds at most one vertex of a clique,
+so the others join C. The bound cuts only subtrees holding no cheaper cover,
+so the first optimum found is unchanged.
 
 The matching number is a memoized dynamic program over vertex masks. When the
 lowest vertex has a neighbour it is matched in some maximum matching, so only
@@ -35,7 +36,11 @@ is the first incumbent.
 The chromatic number is one branch and bound over color-class bitmasks,
 ``_color_classes``: vertices in largest-degree-first order join an open
 class or open one new class, and a branch stops once it holds as many classes
-as the best coloring found, so the first leaf is the greedy coloring.
+as the best coloring found, so the first leaf is the greedy coloring. The
+uncolored vertices every open class blocks need a new class each for a
+greedy clique among them, so a branch also stops when its classes plus that
+clique reach the best count; it holds no smaller coloring, so the first
+optimum found is unchanged.
 """
 
 from __future__ import annotations
@@ -392,32 +397,48 @@ def _color_classes(graph: Graph, members: int) -> list[int]:
     """Class masks of the component's first optimal coloring, in color order.
 
     Depth first over the vertices of ``members`` in ``(-degree, id)`` order; a
-    branch stops once it holds as many classes as the best coloring found so
-    far, so only a strictly smaller coloring replaces the incumbent.
+    branch stops once its classes, plus a greedy clique (lowest vertex first)
+    among the uncolored vertices every open class blocks, reach the count of
+    the best coloring found so far. Every completion needs that many, and only
+    a strictly smaller coloring replaces the incumbent, so the first optimum
+    is the one the plain depth-first search finds.
     """
     adj = graph.adj
     order = sorted(_bits(members), key=lambda v: (-adj[v].bit_count(), v))
     n = len(order)
     classes: list[int] = []
+    near: list[int] = []  # near[c]: the neighbours of classes[c]
     best = [0] * (n + 1)  # longer than any coloring
 
     def extend(i: int) -> None:
         nonlocal best
-        if len(classes) >= len(best):
+        # no vertex is a neighbour of its own class, so with a class open
+        # only uncolored vertices are left
+        stuck = members
+        for blocked in near:
+            stuck &= blocked
+        need = len(classes)
+        while stuck:
+            need += 1
+            stuck &= adj[(stuck & -stuck).bit_length() - 1]
+        if need >= len(best):
             return
         if i == n:
             best = classes.copy()
             return
         v = order[i]
-        bit, near = 1 << v, adj[v]
-        for c, members in enumerate(classes):
-            if not members & near:
-                classes[c] = members | bit
+        bit, adj_v = 1 << v, adj[v]
+        for c, cls in enumerate(classes):
+            if not cls & adj_v:
+                blocked = near[c]
+                classes[c], near[c] = cls | bit, blocked | adj_v
                 extend(i + 1)
-                classes[c] = members
+                classes[c], near[c] = cls, blocked
         classes.append(bit)
+        near.append(adj_v)
         extend(i + 1)
         classes.pop()
+        near.pop()
 
     extend(0)
     return best
@@ -432,9 +453,10 @@ def independence_number(graph: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact maximum independent set, as the complement of a least cover.
 
     ``_min_cover_mask`` with unit vertex costs, bounded by the vertices
-    already excluded or blocked plus a greedy matching among the undecided
-    ones; the witness is the lexicographically smallest maximum independent
-    set.
+    already excluded or blocked plus, for each clique of a greedy clique
+    cover of the undecided ones, its size less one. The bound cuts only
+    branches with no larger independent set, so the witness is the
+    lexicographically smallest maximum independent set.
     """
     _require(graph, SOLVER_VERTEX_LIMIT, "independence solver")
     independent = tuple(_bits(_union_per_component(graph, _min_cover_mask, 1, (0,) * graph.n)))
@@ -460,9 +482,11 @@ def _min_cover_mask(graph: Graph, members: int, vertex_cost: int, edge_adj) -> i
     when a chosen neighbour blocks it, so the running cost bounds every
     completion, ``cost >= best`` prunes, and the first optimum found is the
     lexicographically smallest I. With ``vertex_cost > 0`` the bound adds
-    ``vertex_cost`` per edge of a greedy maximal matching among the undecided
-    vertices (each free vertex, lowest first, takes its lowest free
-    neighbour): one endpoint of every such edge joins C.
+    ``vertex_cost`` per vertex of a greedy clique cover of the undecided
+    vertices, less one per clique (each free vertex, lowest first, grows a
+    clique from its free neighbours, lowest first): I holds at most one
+    vertex of each clique (a matching is the case of size-two cliques). The
+    bound cuts no strictly cheaper cover, so the first optimum is unchanged.
     """
     n, adj = graph.n, graph.adj
     full = (1 << n) - 1
@@ -479,17 +503,19 @@ def _min_cover_mask(graph: Graph, members: int, vertex_cost: int, edge_adj) -> i
             best_cost, best_cover = cost, cover
             return
         if vertex_cost:
-            # each edge of a greedy matching among the undecided vertices
-            # puts a distinct vertex into C
-            free, pairs = ~cover & full >> idx << idx, 0
+            # all but one vertex of each clique of a greedy clique cover of
+            # the undecided vertices join C
+            free, forced = ~cover & full >> idx << idx, 0
             while free:
                 low = free & -free
                 free ^= low
-                mate = adj[low.bit_length() - 1] & free
-                if mate:
-                    free ^= mate & -mate
-                    pairs += 1
-            if cost + vertex_cost * pairs >= best_cost:
+                mates = adj[low.bit_length() - 1] & free
+                while mates:
+                    low = mates & -mates
+                    free ^= low
+                    mates &= adj[low.bit_length() - 1]
+                    forced += 1
+            if cost + vertex_cost * forced >= best_cost:
                 return
         new = adj[idx] & ~cover
         blocked, grown = cover, cost + vertex_cost * new.bit_count()

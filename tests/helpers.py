@@ -148,20 +148,24 @@ def brute_chromatic_witness(g: Graph) -> tuple[tuple[int, ...], ...]:
     For k = 1, 2, ... colorings are enumerated in that order, each vertex
     taking a color at most one above the largest used so far, smallest color
     first; the first proper one is returned as sorted classes indexed by color.
+    A prefix that already gives both ends of an edge one color is skipped,
+    since every coloring extending it is improper.
     """
     degree = [sum(v in e for e in g.edges) for v in range(g.n)]
     order = sorted(range(g.n), key=lambda v: (-degree[v], v))
+    earlier = [[j for j in range(i) if g.has_edge(order[i], order[j])] for i in range(g.n)]
 
-    def colorings(i: int, k: int, top: int):
+    def colorings(prefix: tuple[int, ...], k: int, top: int):
+        i = len(prefix)
         if i == g.n:
-            yield ()
+            yield prefix
             return
         for c in range(min(top + 1, k - 1) + 1):
-            for rest in colorings(i + 1, k, max(top, c)):
-                yield (c,) + rest
+            if all(prefix[j] != c for j in earlier[i]):
+                yield from colorings(prefix + (c,), k, max(top, c))
 
     for k in range(1, g.n + 1):
-        for colors in colorings(0, k, -1):
+        for colors in colorings((), k, -1):
             color_of = dict(zip(order, colors))
             if all(color_of[u] != color_of[v] for u, v in g.edges):
                 return tuple(tuple(v for v in range(g.n) if color_of[v] == c) for c in range(k))

@@ -239,6 +239,18 @@ class TestVerifyCommand:
         assert isinstance(result.exception, SystemExit)
         assert "list of integers" in result.output
 
+    def test_label_on_vertex_outside_graph_is_input_error(self, tmp_path):
+        graph_file = tmp_path / "c4.json"
+        graph_file.write_text(dump_graph_json(named_graph("cycle", 4)))
+        labeling_file = tmp_path / "lab.json"
+        labeling_file.write_text(json.dumps(
+            {"vertex_labels": {"0": [0], "1": [1], "2": [2], "3": [3], "9": [4]}}
+        ))
+        result = run_cli("verify", "--graph", str(graph_file), "--labeling", str(labeling_file))
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Error:" in result.output and "vertex 9" in result.output
+
     def test_missing_label_is_input_error(self, tmp_path):
         graph_file = tmp_path / "c4.json"
         graph_file.write_text(dump_graph_json(named_graph("cycle", 4)))

@@ -116,6 +116,14 @@ class TestVerify:
             verify_iasi(g, IasiLabeling({0: (0,), 1: (1,), 2: (2,)}))
         assert exc.value.vertex == 3
 
+    def test_label_on_vertex_outside_graph(self):
+        g = cycle_graph(4)
+        labels = {0: (0,), 1: (1,), 2: (2,), 3: (3,)}
+        with pytest.raises(ValueError, match="vertex 9,"):
+            verify_iasi(g, IasiLabeling({**labels, 12: (5,), 9: (4,)}))
+        with pytest.raises(ValueError, match="vertex 4,"):
+            verify_iasi(g, IasiLabeling({**labels, 4: (4,)}))
+
     def test_report_json_contains_witnesses(self):
         g = cycle_graph(3)
         report = verify_iasi(g, IasiLabeling({0: (0, 1), 1: (2, 3), 2: (5,)}))

@@ -45,6 +45,10 @@ from helpers import (
     random_connected_graph,
 )
 
+# dense random graphs per witness test: the clique bounds of chi and alpha
+# prune most there, and sparse graphs rarely reach them
+DENSE_GRAPHS = 200
+
 
 def assert_sparing_certificate_consistent(g, cert):
     assert is_independent(g, cert.independent_set)
@@ -298,6 +302,36 @@ class TestChromatic:
         assert chi == 3
         assert len(classes) == 3
 
+    def test_mycielski_of_grotzsch_needs_five_colors(self):
+        # Mycielski's construction keeps the graph triangle-free and raises chi
+        # by one, so M5 = M(Grotzsch) has chi = 5 with cliques of size 2 only
+        g4 = named_graph("grotzsch")
+        n = g4.n
+        edges = list(g4.edges)
+        edges += [(u, n + v) for v, u in g4.edges] + [(v, n + u) for v, u in g4.edges]
+        edges += [(n + v, 2 * n) for v in range(n)]
+        g = build_graph(2 * n + 1, edges)
+        assert g.n == 23 and not has_triangle(g)
+        chi, classes = chromatic_number(g)
+        assert chi == 5
+        assert_proper_coloring(g, classes)
+
+    @pytest.mark.parametrize(
+        "g, chi",
+        [(complete_graph(32), 32), (complete_bipartite(16, 16), 2), (cycle_graph(31), 3)],
+        ids=["K32", "K16,16", "C31"],
+    )
+    def test_closed_forms_at_the_limit(self, g, chi):
+        got, classes = chromatic_number(g)
+        assert got == chi
+        assert_proper_coloring(g, classes)
+
+
+def assert_proper_coloring(g, classes):
+    assert sorted(v for cls in classes for v in cls) == list(range(g.n))
+    for cls in classes:
+        assert not any(g.has_edge(u, v) for u, v in itertools.combinations(cls, 2))
+
 
 def test_chromatic_witness_matches_exhaustive_search():
     # the witness is the first optimal coloring in (-degree, id) order, each
@@ -305,6 +339,11 @@ def test_chromatic_witness_matches_exhaustive_search():
     rng = random.Random(1979)
     graphs = [g for n in range(2, 6) for g in all_graphs(n, connected=True)]
     graphs += [random_connected_graph(rng, rng.randint(6, 9)) for _ in range(20)]
+    # dense graphs, where the clique look-ahead cuts most branches
+    graphs += [
+        random_connected_graph(rng, rng.randint(7, 10), extra=rng.uniform(0.5, 0.9))
+        for _ in range(DENSE_GRAPHS)
+    ]
     for g in graphs:
         want = brute_chromatic_witness(g)
         assert chromatic_number(g) == (len(want), want)
@@ -393,6 +432,11 @@ def test_independent_set_witnesses_match_exhaustive_search():
     rng = random.Random(404)
     graphs = [g for n in range(2, 7) for g in all_graphs(n, connected=False)]
     graphs += [random_connected_graph(rng, rng.randint(6, 12)) for _ in range(20)]
+    # dense graphs, where the clique cover bound cuts most branches
+    graphs += [
+        random_connected_graph(rng, rng.randint(7, 10), extra=rng.uniform(0.5, 0.9))
+        for _ in range(DENSE_GRAPHS)
+    ]
     for g in graphs:
         assert sparing_number_exact(g).independent_set == brute_sparing_witness(g)
         alpha_witness = brute_alpha_witness(g)
