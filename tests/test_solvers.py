@@ -287,11 +287,7 @@ class TestChromatic:
     def test_classes_form_proper_partition(self):
         g = named_graph("durer")
         chi, classes = chromatic_number(g)
-        all_vertices = sorted(v for cls in classes for v in cls)
-        assert all_vertices == list(range(g.n))
-        for cls in classes:
-            members = set(cls)
-            assert not any(g.has_edge(u, v) for u, v in itertools.combinations(members, 2))
+        assert_proper_coloring(g, classes)
 
     def test_disconnected_takes_max(self):
         g = build_graph(
