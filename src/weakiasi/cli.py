@@ -1,16 +1,27 @@
 """Command-line surface: machine-readable JSON on stdout, human summary on stderr.
 
-Exit code 0 on any successful computation (a failing relation is data, not an
-error); nonzero only on input or limit errors.
+Exit codes:
+
+- 0 on any successful computation (a failing relation is data, not an error);
+- 1 with an ``Error:`` line on an input or limit error, and without one when
+  the reader of stdout has gone;
+- 2 on a usage error, which includes a ``--graph`` or ``--labeling`` path that
+  is missing or a directory, and a ``--dot`` path that is a directory.
+
+``main`` is an object so that a harness can drive and trace it in-process:
+``main.commands`` maps each subcommand to a command whose ``callback`` the
+dispatcher looks up at call time, and ``main.main(args, prog_name,
+standalone_mode=False)`` raises every failure, usage errors included, instead
+of exiting.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import sys
 import time
-
-import click
 
 from . import __version__, io
 from .errors import TooLargeError, WeakIasiError
@@ -19,28 +30,118 @@ from .solvers import SOLVER_VERTEX_LIMIT, max_bipartite_subgraph, sparing_number
 
 # theorems and oracle are imported only by the commands that call them
 
-# what any command reports as an "Error:" line with exit code 1, in _Main.invoke
+# what any command reports as an "Error:" line with exit code 1, in _Main.main
 _INPUT_ERRORS = (WeakIasiError, ValueError, OSError)
 
-_INPUT_FILE = click.Path(exists=True, dir_okay=False)
-_json_indent = click.option("--json-indent", type=int, default=2, help="JSON indent; 0 for compact.")
+
+class UsageError(Exception):
+    """A command line the parser refuses (exit code 2); the message starts with the usage line."""
 
 
-def _graph_options(fn):
-    fn = click.option("--named", help="Name from the built-in corpus.")(fn)
-    fn = click.option("--param", type=int, help="Family parameter, e.g. cycle size.")(fn)
-    fn = click.option(
-        "--graph", "graph_path", type=_INPUT_FILE, help="Graph file (JSON or edge-list, autodetected)."
-    )(fn)
-    return fn
+class _Parser(argparse.ArgumentParser):
+    # argparse's own error() exits; raising lets main(standalone_mode=False) raise it
+    def error(self, message):
+        raise UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
+
+
+def _path(must_exist: bool):
+    """An argparse type for a file path: a directory, or a missing input, is a usage error."""
+
+    def check(path: str) -> str:
+        if os.path.isdir(path):
+            raise argparse.ArgumentTypeError(f"file {path!r} is a directory")
+        if must_exist and not os.path.exists(path):
+            raise argparse.ArgumentTypeError(f"file {path!r} does not exist")
+        return path
+
+    return check
+
+
+def _option(*flags, **kwargs):
+    return lambda parser: parser.add_argument(*flags, **kwargs)
+
+
+def _graph_source(parser) -> None:
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--named", metavar="NAME", help="Name from the built-in corpus.")
+    source.add_argument(
+        "--graph", dest="graph_path", metavar="FILE", type=_path(True),
+        help="Graph file (JSON or edge-list, autodetected).",
+    )
+    parser.add_argument("--param", metavar="N", type=int, help="Family parameter, e.g. cycle size.")
+
+
+_json_indent = _option("--json-indent", metavar="N", type=int, default=2, help="JSON indent; 0 for compact.")
+
+
+class _Command:
+    """One subcommand: its help, its options, and the function that runs it."""
+
+    def __init__(self, callback, options):
+        self.callback = callback
+        self.help = callback.__doc__
+        self.options = options
+
+
+class _Main:
+    """The ``weakiasi`` program: subcommands by name and one dispatch."""
+
+    def __init__(self, description: str):
+        self.description = description
+        self.commands: dict[str, _Command] = {}
+
+    def command(self, name: str, *options):
+        def register(fn):
+            self.commands[name] = _Command(fn, options)
+            return fn
+
+        return register
+
+    def _run(self, args, prog: str):
+        parser = _Parser(prog=prog, description=self.description, allow_abbrev=False)
+        parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+        subparsers = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+        for name, command in self.commands.items():
+            sub = subparsers.add_parser(name, help=command.help, description=command.help, allow_abbrev=False)
+            for add in command.options:
+                add(sub)
+        params = vars(parser.parse_args(args))
+        name = params.pop("command")
+        if params.get("param") is not None and params.get("named") is None:
+            subparsers.choices[name].error("--param only applies to --named families")
+        return self.commands[name].callback(**params)
+
+    def main(self, args=None, prog_name=None, standalone_mode=True):
+        """Run one command line (``args`` defaults to ``sys.argv[1:]``).
+
+        With ``standalone_mode`` a failure prints its message and exits with
+        its code; without it, the failure is raised.
+        """
+        prog = prog_name or "weakiasi"
+        if not standalone_mode:
+            return self._run(args, prog)
+        try:
+            return self._run(args, prog)
+        except UsageError as exc:
+            sys.stderr.write(f"{exc}\n")
+            sys.exit(2)
+        except BrokenPipeError:
+            # stdout's reader has gone: exit 1 without an Error line, and let
+            # the interpreter's final flush write to nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(1)
+        except _INPUT_ERRORS as exc:
+            sys.stderr.write(f"Error: {exc}\n")
+            sys.exit(1)
+
+    __call__ = main
+
+
+main = _Main("Weak additive set-labelings: exact sparing numbers, bipartization, relation checks.")
 
 
 def _resolve_graph(named: str | None, param: int | None, graph_path: str | None) -> tuple[Graph, str]:
-    if (named is None) == (graph_path is None):
-        raise click.UsageError("provide exactly one of --named or --graph")
     if graph_path is not None:
-        if param is not None:
-            raise click.UsageError("--param only applies to --named families")
         return io.load_graph(graph_path), os.path.basename(graph_path)
     key = named.strip().lower()
     if key in GRAPH_FAMILIES and param is not None:
@@ -57,8 +158,9 @@ def _flag(value: bool) -> str:
 
 
 def _emit(payload: dict, json_indent: int, summary: str) -> None:
-    click.echo(json.dumps(payload, indent=json_indent if json_indent > 0 else None, sort_keys=True))
-    click.echo(summary, err=True)
+    # flushed here, so a closed stdout raises inside main's dispatch
+    print(json.dumps(payload, indent=json_indent if json_indent > 0 else None, sort_keys=True), flush=True)
+    print(summary, file=sys.stderr, flush=True)
 
 
 def _report(
@@ -74,27 +176,14 @@ def _report(
     _emit(report, json_indent, summary)
 
 
-class _Main(click.Group):
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except BrokenPipeError:
-            raise  # stdout closed by its reader: click exits 1 without an Error line
-        except _INPUT_ERRORS as exc:
-            raise click.ClickException(str(exc)) from None
-
-
-@click.group(cls=_Main)
-@click.version_option(version=__version__)
-def main():
-    """Weak additive set-labelings: exact sparing numbers, bipartization, relation checks."""
-
-
-@main.command("sparing")
-@_graph_options
-@click.option("--labeling", "include_labeling", is_flag=True, help="Include the realizing labeling in the report.")
-@click.option("--dot", "dot_path", type=click.Path(dir_okay=False), help="Write DOT with mono edges classed.")
-@_json_indent
+@main.command(
+    "sparing",
+    _graph_source,
+    _option("--labeling", dest="include_labeling", action="store_true",
+            help="Include the realizing labeling in the report."),
+    _option("--dot", dest="dot_path", metavar="FILE", type=_path(False), help="Write DOT with mono edges classed."),
+    _json_indent,
+)
 def cmd_sparing(named, param, graph_path, include_labeling, dot_path, json_indent):
     """Exact sparing number plus the edge bipartization number, with mismatch flag."""
     t0 = time.perf_counter()
@@ -125,9 +214,7 @@ def cmd_sparing(named, param, graph_path, include_labeling, dot_path, json_inden
     _report("sparing", label, graph, results, timings, json_indent, summary)
 
 
-@main.command("check-theorems")
-@_graph_options
-@_json_indent
+@main.command("check-theorems", _graph_source, _json_indent)
 def cmd_check(named, param, graph_path, json_indent):
     """Run every applicable relation checker on one graph."""
     from .theorems import run_all_checkers
@@ -145,17 +232,14 @@ def cmd_check(named, param, graph_path, json_indent):
     _report("check-theorems", label, graph, results, timings, json_indent, summary)
 
 
-@main.command("named")
-@_json_indent
+@main.command("named", _json_indent)
 def cmd_named(json_indent):
     """Catalog of built-in graphs and families."""
     catalog = named_catalog()
     _emit(catalog, json_indent, f"{len(catalog['named'])} named graphs, {len(catalog['families'])} families")
 
 
-@main.command("oracle")
-@_graph_options
-@_json_indent
+@main.command("oracle", _graph_source, _json_indent)
 def cmd_oracle(named, param, graph_path, json_indent):
     """Brute-force sparing number (n <= 7) cross-validated against the solver."""
     from .oracle import cross_validate
@@ -172,10 +256,13 @@ def cmd_oracle(named, param, graph_path, json_indent):
     _report("oracle", label, graph, validation.to_json_dict(), timings, json_indent, summary)
 
 
-@main.command("verify")
-@click.option("--graph", "graph_path", type=_INPUT_FILE, required=True)
-@click.option("--labeling", "labeling_path", type=_INPUT_FILE, required=True)
-@_json_indent
+@main.command(
+    "verify",
+    _option("--graph", dest="graph_path", metavar="FILE", type=_path(True), required=True, help="Graph file."),
+    _option("--labeling", dest="labeling_path", metavar="FILE", type=_path(True), required=True,
+            help="Labeling JSON file."),
+    _json_indent,
+)
 def cmd_verify(graph_path, labeling_path, json_indent):
     """Verify a user-supplied labeling against a graph."""
     from .labeling import verify_iasi

@@ -17,6 +17,11 @@ from .graph import Edge, Graph, _to_json, by_vertex_id
 
 Label = tuple[int, ...]
 
+# verify_iasi refuses a labeling whose edge sumsets need more additions than
+# this, before it forms the first one: |a| * |b| per edge grows with the square
+# of the label sizes, so a small hostile file could otherwise take seconds
+SUMSET_WORK_LIMIT = 2_000_000
+
 
 def make_label(values: Iterable[int]) -> Label:
     """Normalize to a sorted, duplicate-free label; rejects empty, negative and non-``int``."""
@@ -114,12 +119,19 @@ def verify_iasi(graph: Graph, labeling: IasiLabeling) -> LabelingReport:
     witnesses are the first violations. Raises ``MissingLabelError`` when a
     vertex of the graph has no label, and ``ValueError`` naming the lowest
     labeled vertex the graph does not have, so a labeling made for another
-    graph does not pass.
+    graph does not pass. Raises ``ValueError`` too when the edge sumsets need
+    more than ``SUMSET_WORK_LIMIT`` additions (|f(u)| * |f(v)| summed over the
+    edges), before forming any of them.
     """
     extra = [v for v in labeling.vertex_labels if not 0 <= v < graph.n]
     if extra:
         raise ValueError(f"labeling labels vertex {min(extra)}, which the graph does not have")
     labels = [labeling.label(v) for v in range(graph.n)]
+    work = sum(len(labels[u]) * len(labels[v]) for u, v in graph.edges)
+    if work > SUMSET_WORK_LIMIT:
+        raise ValueError(
+            f"labeling's edge sumsets need {work} additions, more than the limit of {SUMSET_WORK_LIMIT}"
+        )
 
     vertex_collision = None
     seen_vertex: dict[Label, int] = {}

@@ -172,6 +172,17 @@ def brute_chromatic_witness(g: Graph) -> tuple[tuple[int, ...], ...]:
     return ()
 
 
+def first_fit_color_count(g: Graph) -> int:
+    """Colors of the first-fit coloring in (-degree, id) order, each vertex taking
+    the smallest color no earlier neighbour has: the first leaf of the chi search."""
+    degree = [sum(v in e for e in g.edges) for v in range(g.n)]
+    color: dict[int, int] = {}
+    for v in sorted(range(g.n), key=lambda v: (-degree[v], v)):
+        taken = {color[u] for u in color if g.has_edge(u, v)}
+        color[v] = min(c for c in range(g.n) if c not in taken)
+    return max(color.values()) + 1
+
+
 def brute_alpha(g: Graph) -> int:
     best = 0
     for mask in range(1 << g.n):

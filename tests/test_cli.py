@@ -1,22 +1,49 @@
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from typing import NamedTuple
 
-from click.testing import CliRunner
+import pytest
 
 import weakiasi.graph
 from weakiasi import named_graph
-from weakiasi.cli import main
+from weakiasi.cli import UsageError, main
 from weakiasi.io import dump_edge_list, dump_graph_json
 
 SRC = Path(weakiasi.graph.__file__).resolve().parents[1]
 
 
+class Result(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+    # SystemExit for a clean exit with a nonzero code; any other exception escaped the CLI
+    exception: BaseException | None
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
 def run_cli(*args):
-    return CliRunner().invoke(main, list(args))
+    """Run one command line in-process, as the console script does, capturing both streams."""
+    out, err = io.StringIO(), io.StringIO()
+    exception = None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            main(list(args), prog_name="weakiasi")
+            exit_code = 0
+        except SystemExit as exc:
+            exit_code = exc.code or 0
+            exception = exc if exit_code else None
+        except Exception as exc:
+            exit_code, exception = 1, exc
+    return Result(exit_code, out.getvalue(), err.getvalue(), exception)
 
 
 def payload(result):
@@ -150,6 +177,81 @@ class TestSparingCommand:
             assert "Traceback" not in result.output, args
 
 
+class TestUsage:
+    """Exit code 2, and what the dispatcher promises an in-process caller."""
+
+    def test_graph_path_that_is_a_directory_is_a_usage_error(self, tmp_path):
+        for args in (
+            ("sparing", "--graph", str(tmp_path)),
+            ("check-theorems", "--graph", str(tmp_path)),
+            ("oracle", "--graph", str(tmp_path)),
+        ):
+            result = run_cli(*args)
+            assert result.exit_code == 2, args
+            assert "--graph" in result.stderr and "is a directory" in result.stderr, args
+            assert result.stdout == "", args
+
+    def test_missing_input_file_is_a_usage_error(self, tmp_path):
+        graph_file = tmp_path / "c4.json"
+        graph_file.write_text(dump_graph_json(named_graph("cycle", 4)))
+        missing = str(tmp_path / "missing.json")
+        for args in (
+            ("sparing", "--graph", missing),
+            ("verify", "--graph", missing, "--labeling", str(graph_file)),
+            ("verify", "--graph", str(graph_file), "--labeling", missing),
+            ("verify", "--graph", str(graph_file), "--labeling", str(tmp_path)),
+        ):
+            result = run_cli(*args)
+            assert result.exit_code == 2, args
+            assert "usage: weakiasi" in result.stderr, args
+
+    def test_dot_path_that_is_a_directory_is_a_usage_error(self, tmp_path):
+        result = run_cli("sparing", "--named", "petersen", "--dot", str(tmp_path))
+        assert result.exit_code == 2
+        assert "--dot" in result.stderr and "is a directory" in result.stderr
+        assert result.stdout == ""
+
+    def test_unknown_option_is_a_usage_error_naming_it(self):
+        for args in (("sparing", "--named", "petersen", "--bogus"), ("named", "--bogus")):
+            result = run_cli(*args)
+            assert result.exit_code == 2, args
+            assert "--bogus" in result.stderr, args
+
+    def test_option_prefix_is_not_accepted(self):
+        result = run_cli("sparing", "--named", "petersen", "--label")
+        assert result.exit_code == 2
+        assert "--label" in result.stderr
+
+    def test_param_with_graph_file_is_a_usage_error(self, tmp_path):
+        path = tmp_path / "c4.txt"
+        path.write_text(dump_edge_list(named_graph("cycle", 4)))
+        result = run_cli("sparing", "--graph", str(path), "--param", "4")
+        assert result.exit_code == 2
+        assert "--param only applies to --named families" in result.stderr
+
+    def test_missing_command_is_a_usage_error(self):
+        assert run_cli().exit_code == 2
+        assert run_cli("cover").exit_code == 2
+
+    def test_in_process_failures_raise_exceptions_not_system_exit(self, tmp_path):
+        bad_lines = (
+            (["sparing"], UsageError),
+            (["sparing", "--named", "petersen", "--threads", "2"], UsageError),
+            (["sparing", "--graph", str(tmp_path)], UsageError),
+            (["sparing", "--named", "heawood"], weakiasi.UnknownNameError),
+            (["sparing", "--named", "cycle", "--param", "40"], weakiasi.TooLargeError),
+        )
+        for args, kind in bad_lines:
+            with pytest.raises(kind), redirect_stderr(io.StringIO()):
+                main.main(args=args, prog_name="weakiasi", standalone_mode=False)
+
+    def test_dispatch_looks_the_callback_up_at_call_time(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(main.commands["named"], "callback", lambda **params: calls.append(params))
+        assert main.main(args=["named", "--json-indent", "0"], standalone_mode=False) is None
+        assert calls == [{"json_indent": 0}]
+
+
 class TestCheckTheoremsCommand:
     def test_grotzsch_reports_all_checkers(self):
         result = run_cli("check-theorems", "--named", "grotzsch")
@@ -250,6 +352,19 @@ class TestVerifyCommand:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "Error:" in result.output and "vertex 9" in result.output
+
+    def test_hostile_label_sizes_are_input_error(self, tmp_path):
+        graph_file = tmp_path / "k2.json"
+        graph_file.write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
+        labeling_file = tmp_path / "lab.json"
+        labeling_file.write_text(json.dumps(
+            {"vertex_labels": {"0": list(range(0, 6000, 2)), "1": list(range(1, 6000, 2))}}
+        ))
+        result = run_cli("verify", "--graph", str(graph_file), "--labeling", str(labeling_file))
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert "Error:" in result.stderr and "9000000 additions" in result.stderr
 
     def test_missing_label_is_input_error(self, tmp_path):
         graph_file = tmp_path / "c4.json"

@@ -21,6 +21,7 @@ from weakiasi import (
     verify_iasi,
 )
 
+import weakiasi.labeling
 from helpers import random_connected_graph, random_independent_set
 
 labels = st.sets(st.integers(min_value=0, max_value=40), min_size=1, max_size=5).map(
@@ -123,6 +124,28 @@ class TestVerify:
             verify_iasi(g, IasiLabeling({**labels, 12: (5,), 9: (4,)}))
         with pytest.raises(ValueError, match="vertex 4,"):
             verify_iasi(g, IasiLabeling({**labels, 4: (4,)}))
+
+    def test_hostile_label_sizes_are_refused_before_any_sumset(self, monkeypatch):
+        # two 3,000-element labels on K2: 9,000,000 additions for one edge
+        g = build_graph(2, [(0, 1)])
+        hostile = IasiLabeling({0: range(0, 6000, 2), 1: range(1, 6000, 2)})
+
+        def no_sumset(*args):
+            raise AssertionError("sumset called")
+
+        monkeypatch.setattr(weakiasi.labeling, "sumset", no_sumset)
+        with pytest.raises(ValueError, match="9000000 additions"):
+            verify_iasi(g, hostile)
+
+    def test_sumset_work_limit_is_inclusive(self, monkeypatch):
+        # a path 0-1-2 with labels of sizes 1, 3, 2: 1*3 + 3*2 = 9 additions
+        g = build_graph(3, [(0, 1), (1, 2)])
+        labeling = IasiLabeling({0: (0,), 1: (1, 2, 3), 2: (10, 20)})
+        monkeypatch.setattr(weakiasi.labeling, "SUMSET_WORK_LIMIT", 9)
+        assert verify_iasi(g, labeling).edge_indexing_numbers == {(0, 1): 3, (1, 2): 6}
+        monkeypatch.setattr(weakiasi.labeling, "SUMSET_WORK_LIMIT", 8)
+        with pytest.raises(ValueError, match="more than the limit of 8"):
+            verify_iasi(g, labeling)
 
     def test_report_json_contains_witnesses(self):
         g = cycle_graph(3)

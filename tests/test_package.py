@@ -25,9 +25,9 @@ SRC = Path(weakiasi.__file__).resolve().parents[1]
 
 def test_cli_import_loads_no_dataclasses_checkers_or_oracle():
     for module in ("weakiasi", "weakiasi.cli"):
-        # click and json are loaded first, so only what weakiasi itself pulls in counts
+        # json and argparse are loaded first, so only what weakiasi itself pulls in counts
         code = (
-            f"import sys, click, json; before = set(sys.modules); import {module}; "
+            f"import sys, json, argparse; before = set(sys.modules); import {module}; "
             "print(' '.join(sorted(set(sys.modules) - before)))"
         )
         out = subprocess.run(
@@ -35,7 +35,8 @@ def test_cli_import_loads_no_dataclasses_checkers_or_oracle():
         )
         loaded = set(out.stdout.split())
         assert module in loaded
-        assert not loaded & {"dataclasses", "weakiasi.theorems", "weakiasi.oracle"}, module
+        # the package has no runtime dependency: click coming back fails here
+        assert not loaded & {"click", "dataclasses", "weakiasi.theorems", "weakiasi.oracle"}, module
 
 
 FIELDS = {

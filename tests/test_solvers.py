@@ -40,6 +40,7 @@ from helpers import (
     brute_sparing_witness,
     complete_bipartite,
     covers_all_edges,
+    first_fit_color_count,
     has_triangle,
     is_independent,
     random_connected_graph,
@@ -343,6 +344,20 @@ def test_chromatic_witness_matches_exhaustive_search():
     for g in graphs:
         want = brute_chromatic_witness(g)
         assert chromatic_number(g) == (len(want), want)
+
+
+def test_chromatic_witness_where_first_fit_is_not_optimal():
+    # on the graphs above the first leaf of the search is almost always
+    # optimal, so a bound that prunes too eagerly rarely changes the answer;
+    # here the search must prove that a coloring better than first fit exists
+    rng = random.Random(1402)
+    kept = 0
+    while kept < DENSE_GRAPHS:
+        g = random_connected_graph(rng, rng.randint(11, 13), extra=rng.uniform(0.4, 0.8))
+        want = brute_chromatic_witness(g)
+        if first_fit_color_count(g) > len(want):
+            kept += 1
+            assert chromatic_number(g) == (len(want), want)
 
 
 def test_chromatic_witness_of_disconnected_graph_merges_components():
