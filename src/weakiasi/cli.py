@@ -1,18 +1,14 @@
 """Command-line surface: machine-readable JSON on stdout, human summary on stderr.
 
-Exit codes:
+Exit code 0 on any successful computation (a failing relation is data, not an
+error); 1 on an input or limit error, with an ``Error:`` line, or when the
+reader of stdout has gone; 2 on a usage error, such as a ``--graph`` or
+``--labeling`` path that is missing or a directory.
 
-- 0 on any successful computation (a failing relation is data, not an error);
-- 1 with an ``Error:`` line on an input or limit error, and without one when
-  the reader of stdout has gone;
-- 2 on a usage error, which includes a ``--graph`` or ``--labeling`` path that
-  is missing or a directory, and a ``--dot`` path that is a directory.
-
-``main`` is an object so that a harness can drive and trace it in-process:
-``main.commands`` maps each subcommand to a command whose ``callback`` the
-dispatcher looks up at call time, and ``main.main(args, prog_name,
-standalone_mode=False)`` raises every failure, usage errors included, instead
-of exiting.
+``main`` is an object so that perfbench can drive and trace it in-process:
+``main.commands[name].callback`` is looked up at each dispatch, and
+``main.main(args, prog_name, standalone_mode=False)`` raises every failure,
+usage errors included, instead of exiting.
 """
 
 from __future__ import annotations
@@ -89,6 +85,9 @@ class _Main:
     def __init__(self, description: str):
         self.description = description
         self.commands: dict[str, _Command] = {}
+        # by program name: an in-process caller runs many command lines, and
+        # a parser rebuilt for each leaves thousands of objects to collect
+        self._parsers: dict[str, tuple[_Parser, dict]] = {}
 
     def command(self, name: str, *options):
         def register(fn):
@@ -97,18 +96,24 @@ class _Main:
 
         return register
 
+    def _parser(self, prog: str) -> tuple[_Parser, dict]:
+        if prog not in self._parsers:
+            parser = _Parser(prog=prog, description=self.description, allow_abbrev=False)
+            parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+            subparsers = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+            for name, command in self.commands.items():
+                sub = subparsers.add_parser(name, help=command.help, description=command.help, allow_abbrev=False)
+                for add in command.options:
+                    add(sub)
+            self._parsers[prog] = parser, subparsers.choices
+        return self._parsers[prog]
+
     def _run(self, args, prog: str):
-        parser = _Parser(prog=prog, description=self.description, allow_abbrev=False)
-        parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
-        subparsers = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-        for name, command in self.commands.items():
-            sub = subparsers.add_parser(name, help=command.help, description=command.help, allow_abbrev=False)
-            for add in command.options:
-                add(sub)
+        parser, subparsers = self._parser(prog)
         params = vars(parser.parse_args(args))
         name = params.pop("command")
         if params.get("param") is not None and params.get("named") is None:
-            subparsers.choices[name].error("--param only applies to --named families")
+            subparsers[name].error("--param only applies to --named families")
         return self.commands[name].callback(**params)
 
     def main(self, args=None, prog_name=None, standalone_mode=True):
