@@ -28,13 +28,11 @@ from .graph import (
     connected_components,
     cycle_graph,
     decompose_into_cycles,
-    is_bipartite,
     is_cycle_graph,
     is_path_graph,
     named_catalog,
     named_graph,
     path_graph,
-    remove_edges,
     star_graph,
 )
 from .labeling import (
@@ -81,7 +79,6 @@ __all__ = [
     "cycle_graph",
     "decompose_into_cycles",
     "independence_number",
-    "is_bipartite",
     "is_cycle_graph",
     "is_path_graph",
     "make_label",
@@ -93,7 +90,6 @@ __all__ = [
     "named_graph",
     "path_graph",
     "pattern_labeling",
-    "remove_edges",
     "sparing_number_exact",
     "spread_values",
     "star_graph",

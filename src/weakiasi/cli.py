@@ -110,7 +110,27 @@ class _Main:
 
     def _run(self, args, prog: str):
         parser, subparsers = self._parser(prog)
-        params = vars(parser.parse_args(args))
+        try:
+            params = vars(parser.parse_args(args))
+        except UsageError:
+            # argparse reports a missing required option before an unknown one:
+            # look for unknown ones with nothing required, so they are named first
+            lifted = [
+                item for sub in subparsers.values()
+                for item in (*sub._actions, *sub._mutually_exclusive_groups) if item.required
+            ]
+            for item in lifted:
+                item.required = False
+            try:
+                unknown = parser.parse_known_args(args)[1]
+            except UsageError:
+                unknown = []
+            finally:
+                for item in lifted:
+                    item.required = True
+            if unknown:
+                parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+            raise
         name = params.pop("command")
         if params.get("param") is not None and params.get("named") is None:
             subparsers[name].error("--param only applies to --named families")

@@ -3,8 +3,7 @@
 Vertex ids are dense integers ``0..n-1``; an optional name map attaches
 human-readable aliases for reports. Every graph is validated on construction
 (no loops, no parallel edges, no isolated vertices) and never mutated
-afterwards, so instances are safe to share between callers. Edge deletion
-produces a new graph.
+afterwards, so instances are safe to share between callers.
 
 ``Graph`` and the package's other records are ``NamedTuple`` classes, cheap to
 define at import, and so also tuples: iterable, indexable, equal to a tuple.
@@ -281,20 +280,6 @@ def named_catalog() -> dict:
 # ---------------------------------------------------------------------------
 
 
-class BipartiteCheck(NamedTuple):
-    """Bipartiteness verdict with a witness: a bipartition, or one odd cycle."""
-
-    bipartite: bool
-    parts: tuple[tuple[int, ...], tuple[int, ...]] | None
-    odd_cycle: tuple[int, ...] | None
-
-
-class CycleDecomposition(NamedTuple):
-    """Edge-disjoint cycles whose union is the whole edge set."""
-
-    cycles: tuple[tuple[int, ...], ...]
-
-
 def _canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
     # smallest vertex first, then toward its smaller neighbor
     i = cycle.index(min(cycle))
@@ -304,54 +289,8 @@ def _canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return rotated
 
 
-def is_bipartite(graph: Graph) -> BipartiteCheck:
-    """2-color the graph, or exhibit an odd cycle when that is impossible.
-
-    Deterministic: BFS from the smallest unvisited vertex, neighbors in
-    ascending order. The odd-cycle witness is a simple cycle, reported in
-    canonical rotation.
-    """
-    color = [-1] * graph.n
-    parent = [-1] * graph.n
-    depth = [0] * graph.n
-    for root in range(graph.n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for v in graph.neighbors(u):
-                if color[v] == -1:
-                    color[v] = color[u] ^ 1
-                    parent[v] = u
-                    depth[v] = depth[u] + 1
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return BipartiteCheck(False, None, _odd_cycle(parent, depth, u, v))
-    part0 = tuple(v for v in range(graph.n) if color[v] == 0)
-    part1 = tuple(v for v in range(graph.n) if color[v] == 1)
-    return BipartiteCheck(True, (part0, part1), None)
-
-
-def _odd_cycle(parent: list[int], depth: list[int], u: int, v: int) -> tuple[int, ...]:
-    # walk both endpoints up to their lowest common BFS ancestor
-    path_u, path_v = [u], [v]
-    while depth[path_u[-1]] > depth[path_v[-1]]:
-        path_u.append(parent[path_u[-1]])
-    while depth[path_v[-1]] > depth[path_u[-1]]:
-        path_v.append(parent[path_v[-1]])
-    while path_u[-1] != path_v[-1]:
-        path_u.append(parent[path_u[-1]])
-        path_v.append(parent[path_v[-1]])
-    cycle = tuple(path_u) + tuple(reversed(path_v[:-1]))
-    return _canonical_cycle(cycle)
-
-
-def decompose_into_cycles(graph: Graph) -> CycleDecomposition:
-    """Partition the edge set into simple cycles by repeated greedy extraction.
+def decompose_into_cycles(graph: Graph) -> tuple[tuple[int, ...], ...]:
+    """The edge set as edge-disjoint simple cycles, found by repeated greedy extraction.
 
     Requires every vertex degree to be even (``NotEulerianError`` otherwise).
     Walks from the smallest vertex with remaining edges, always toward the
@@ -388,7 +327,7 @@ def decompose_into_cycles(graph: Graph) -> CycleDecomposition:
                 break
             position[nxt] = len(stack)
             stack.append(nxt)
-    return CycleDecomposition(tuple(cycles))
+    return tuple(cycles)
 
 
 def connected_components(graph: Graph) -> tuple[tuple[int, ...], ...]:
@@ -407,18 +346,6 @@ def connected_components(graph: Graph) -> tuple[tuple[int, ...], ...]:
         left &= ~reached
         components.append(tuple(_bits(reached)))
     return tuple(components)
-
-
-def remove_edges(graph: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
-    """New graph without the given edges; removing an absent edge is an error."""
-    present = set(graph.edges)
-    doomed = set()
-    for u, v in edges:
-        e = (u, v) if u < v else (v, u)
-        if e not in present:
-            raise InvalidEdgeError(u, v, "edge not present in graph")
-        doomed.add(e)
-    return build_graph(graph.n, [e for e in graph.edges if e not in doomed], graph.names)
 
 
 def is_cycle_graph(graph: Graph) -> bool:

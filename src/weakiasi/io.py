@@ -118,13 +118,12 @@ def load_graph_text(text: str) -> Graph:
 
 
 def _load(path: str, parse):
-    """Read a UTF-8 file and parse it; a parse error names the file."""
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    """Read a UTF-8 file, less a leading byte order mark, and parse it; an error names the file."""
+    with open(path, encoding="utf-8-sig") as handle:
+        try:  # read() decodes, and UnicodeDecodeError is a ValueError
+            return parse(handle.read())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def load_graph(path: str) -> Graph:
@@ -143,17 +142,19 @@ def load_labeling(path: str) -> IasiLabeling:
     return _load(path, parse_labeling_json)
 
 
-def to_dot(graph: Graph, edge_classes: Mapping[Edge, str] | None = None, name: str = "G") -> str:
+def to_dot(graph: Graph, edge_classes: Mapping[Edge, str] | None = None) -> str:
     """DOT text with a ``class`` attribute per edge: "mono", "removed" or "plain".
 
     ``edge_classes`` maps edges (u < v) to their class; unmapped edges are
-    "plain". Vertices with aliases get a ``label`` attribute.
+    "plain". Vertices with aliases get a ``label`` attribute, with ``\\`` and
+    ``"`` escaped so that no alias can end its string.
     """
     classes = edge_classes or {}
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     for v in range(graph.n):
         if v in graph.names:
-            lines.append(f'  {v} [label="{graph.names[v]}"];')
+            label = graph.names[v].replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  {v} [label="{label}"];')
     for u, v in graph.edges:
         cls = classes.get((u, v), "plain")
         lines.append(f'  {u} -- {v} [class="{cls}"];')

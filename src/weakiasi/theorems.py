@@ -194,12 +194,12 @@ def check_odd_cycle_decomposition(graph: Graph) -> TheoremReport:
             inputs,
             f"matching solver limit (n <= {MATCHING_VERTEX_LIMIT})",
         )
-    decomposition = decompose_into_cycles(graph)
-    sizes = [len(c) for c in decomposition.cycles]
+    cycles = decompose_into_cycles(graph)
+    sizes = [len(c) for c in cycles]
     nu = matching_number(graph)
     cycle_nus = [s // 2 for s in sizes]
     witness = {
-        "cycles": [list(c) for c in decomposition.cycles],
+        "cycles": [list(c) for c in cycles],
         "cycle_sizes": sizes,
         "matching_number": nu,
         "cycle_matching_numbers": cycle_nus,

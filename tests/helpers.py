@@ -86,6 +86,29 @@ def brute_max_cut_certificate(g: Graph):
     return g.m - len(removed), tuple(removed), (part0, part1)
 
 
+def bipartization_problem(g: Graph, cert) -> str | None:
+    """Why a max-cut certificate fails to prove itself from its own witness, or None.
+
+    A certificate proves that G minus its removed edges is bipartite with b
+    edges when its two parts partition V, every kept edge crosses the parts,
+    every removed edge is an edge of G that does not, and b + |removed| == m.
+    """
+    part0, part1 = cert.bipartition
+    if sorted(part0 + part1) != list(range(g.n)):
+        return "the parts do not partition V"
+    removed = set(cert.removed_edges)
+    if len(removed) != len(cert.removed_edges) or not removed <= set(g.edges):
+        return "the removed edges are not distinct edges of G"
+    side0 = set(part0)
+    for u, v in g.edges:
+        if ((u in side0) != (v in side0)) == ((u, v) in removed):
+            kind = "removed edge crosses" if (u, v) in removed else "kept edge does not cross"
+            return f"{kind} the parts: {(u, v)}"
+    if cert.b + len(cert.removed_edges) != g.m:
+        return "b + |removed| != m"
+    return None
+
+
 def _brute_matching_size(edges) -> int:
     def rec(i: int, used: int) -> int:
         if i == len(edges):

@@ -26,12 +26,10 @@ from weakiasi import (
     construct_labeling,
     cycle_graph,
     independence_number,
-    is_bipartite,
     matching_number,
     max_bipartite_subgraph,
     named_graph,
     path_graph,
-    remove_edges,
     sparing_number_exact,
     sumset,
     verify_iasi,
@@ -46,6 +44,7 @@ from weakiasi.theorems import (
 
 from helpers import (
     all_graphs,
+    bipartization_problem,
     bowtie,
     brute_max_cut,
     random_connected_graph,
@@ -123,11 +122,9 @@ def test_criterion_03_removal_certificates():
     problems = []
     for name in ("petersen", "frucht", "grotzsch", "durer", "dodecahedron"):
         g = named_graph(name)
-        cert = max_bipartite_subgraph(g)
-        if len(cert.removed_edges) != g.m - cert.b:
-            problems.append(f"{name}: removal size mismatch")
-        if not is_bipartite(remove_edges(g, cert.removed_edges)).bipartite:
-            problems.append(f"{name}: graph minus removals is not bipartite")
+        problem = bipartization_problem(g, max_bipartite_subgraph(g))
+        if problem:
+            problems.append(f"{name}: {problem}")
     report(3, "removal certificates", not problems, "" if problems else "all five graphs")
 
 

@@ -216,6 +216,17 @@ class TestUsage:
         assert result.exit_code == 2
         assert "--label" in result.stderr
 
+    def test_unknown_option_is_named_before_a_missing_required_one(self):
+        for args in (("sparing", "--nam", "petersen"), ("verify", "--grap", "g.json")):
+            result = run_cli(*args)
+            assert result.exit_code == 2, args
+            assert f"unrecognized arguments: {args[1]} {args[2]}" in result.stderr, args
+        # without an unknown option the missing one is still reported
+        result = run_cli("sparing", "--param", "5")
+        assert result.exit_code == 2
+        assert "(--named NAME | --graph FILE)" in result.stderr
+        assert "one of the arguments --named --graph is required" in result.stderr
+
     def test_param_with_graph_file_is_a_usage_error(self, tmp_path):
         path = tmp_path / "c4.txt"
         path.write_text(dump_edge_list(named_graph("cycle", 4)))

@@ -10,17 +10,17 @@ from weakiasi import (
     connected_components,
     cycle_graph,
     decompose_into_cycles,
-    is_bipartite,
     is_cycle_graph,
     is_path_graph,
     named_catalog,
     named_graph,
     path_graph,
-    remove_edges,
     star_graph,
 )
 
-from helpers import bowtie, butterfly_at_one, has_triangle
+from weakiasi.solvers import BipartizationCertificate
+
+from helpers import bipartization_problem, bowtie, butterfly_at_one, has_triangle
 
 
 def assert_valid_cycle(g, cycle):
@@ -45,6 +45,9 @@ class TestBuildGraph:
         with pytest.raises(IsolatedVertexError) as exc:
             build_graph(3, [(0, 1)])
         assert exc.value.vertex == 2
+        with pytest.raises(IsolatedVertexError) as exc:
+            build_graph(2, [])
+        assert exc.value.vertex == 0
 
     def test_complete_graph(self):
         g = build_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
@@ -105,10 +108,8 @@ class TestNamedGraphs:
         assert nx.is_isomorphic(ours, nx.mycielski_graph(4))
 
     def test_petersen_not_bipartite(self):
-        check = is_bipartite(named_graph("petersen"))
-        assert not check.bipartite
-        assert_valid_cycle(named_graph("petersen"), check.odd_cycle)
-        assert len(check.odd_cycle) % 2 == 1
+        # the outer cycle u1..u5 is odd
+        assert_valid_cycle(named_graph("petersen"), (0, 1, 2, 3, 4))
 
     def test_vertex_aliases(self):
         g = named_graph("petersen")
@@ -142,43 +143,54 @@ class TestNamedGraphs:
 
 
 class TestBipartite:
+    """The witness check every max-cut certificate test applies: it accepts a
+    certificate that proves G minus its removed edges bipartite, and nothing else."""
+
     def test_even_cycle(self):
-        check = is_bipartite(cycle_graph(4))
-        assert check.bipartite
-        assert check.parts == ((0, 2), (1, 3))
+        cert = BipartizationCertificate(4, (), ((0, 2), (1, 3)))
+        assert bipartization_problem(cycle_graph(4), cert) is None
 
     def test_odd_cycle_witness(self):
         g = cycle_graph(5)
-        check = is_bipartite(g)
-        assert not check.bipartite
-        assert len(check.odd_cycle) == 5
-        assert_valid_cycle(g, check.odd_cycle)
+        # no bipartition keeps all five edges; dropping (0, 1) leaves a path
+        for mask in range(1 << g.n):
+            side1 = tuple(v for v in range(g.n) if mask >> v & 1)
+            side0 = tuple(v for v in range(g.n) if not mask >> v & 1)
+            assert bipartization_problem(g, BipartizationCertificate(5, (), (side0, side1)))
+        cert = BipartizationCertificate(4, ((0, 1),), ((0, 1, 3), (2, 4)))
+        assert bipartization_problem(g, cert) is None
 
     def test_every_edge_crosses_reported_parts(self):
         g = named_graph("path", 7)
-        check = is_bipartite(g)
-        part0 = set(check.parts[0])
-        for u, v in g.edges:
-            assert (u in part0) != (v in part0)
+        parts = ((0, 2, 4, 6), (1, 3, 5))
+        assert bipartization_problem(g, BipartizationCertificate(6, (), parts)) is None
+        for bad in (
+            BipartizationCertificate(6, (), ((0, 2, 4), (1, 3, 5, 6))),  # kept (5, 6) inside a part
+            BipartizationCertificate(5, ((0, 1),), parts),  # removed (0, 1) crosses
+            BipartizationCertificate(5, ((0, 2),), parts),  # (0, 2) is no edge
+            BipartizationCertificate(5, (), parts),  # b + |removed| != m
+            BipartizationCertificate(6, (), ((0, 2, 4), (1, 3, 5))),  # vertex 6 in no part
+            BipartizationCertificate(6, (), ((0, 2, 4, 6), (1, 3, 5, 6))),  # vertex 6 in both
+        ):
+            assert bipartization_problem(g, bad), bad
 
     def test_disconnected(self):
         g = build_graph(4, [(0, 1), (2, 3)])
-        check = is_bipartite(g)
-        assert check.bipartite
-        assert check.parts == ((0, 2), (1, 3))
+        for parts in (((0, 2), (1, 3)), ((0, 3), (1, 2))):
+            assert bipartization_problem(g, BipartizationCertificate(2, (), parts)) is None
 
 
 class TestCycleDecomposition:
     def test_cycle_decomposes_into_itself(self):
-        assert decompose_into_cycles(cycle_graph(5)).cycles == ((0, 1, 2, 3, 4),)
+        assert decompose_into_cycles(cycle_graph(5)) == ((0, 1, 2, 3, 4),)
 
     def test_bowtie(self):
         g = bowtie()
-        decomposition = decompose_into_cycles(g)
-        assert decomposition.cycles == ((0, 1, 2), (2, 3, 4))
+        cycles = decompose_into_cycles(g)
+        assert cycles == ((0, 1, 2), (2, 3, 4))
         # exhaustive cover check: edge-disjoint and exactly E(G)
         seen = []
-        for cycle in decomposition.cycles:
+        for cycle in cycles:
             closed = list(cycle) + [cycle[0]]
             seen.extend(tuple(sorted(e)) for e in zip(closed, closed[1:]))
         assert len(seen) == len(set(seen)) == g.m
@@ -191,9 +203,8 @@ class TestCycleDecomposition:
 
     @pytest.mark.parametrize("g", [complete_graph(5), butterfly_at_one(), bowtie()])
     def test_partition_property(self, g):
-        decomposition = decompose_into_cycles(g)
         seen = []
-        for cycle in decomposition.cycles:
+        for cycle in decompose_into_cycles(g):
             assert_valid_cycle(g, cycle)
             closed = list(cycle) + [cycle[0]]
             seen.extend(tuple(sorted(e)) for e in zip(closed, closed[1:]))
@@ -204,17 +215,6 @@ class TestStructure:
     def test_components(self):
         g = build_graph(6, [(0, 3), (1, 4), (2, 5)])
         assert connected_components(g) == ((0, 3), (1, 4), (2, 5))
-
-    def test_remove_edges(self):
-        g = cycle_graph(4)
-        h = remove_edges(g, [(0, 1)])
-        assert h.m == 3
-        with pytest.raises(InvalidEdgeError):
-            remove_edges(g, [(0, 2)])
-
-    def test_remove_edges_cannot_isolate(self):
-        with pytest.raises(IsolatedVertexError):
-            remove_edges(path_graph(2), [(0, 1)])
 
     def test_path_cycle_predicates(self):
         assert is_path_graph(path_graph(2))

@@ -16,6 +16,7 @@ from weakiasi.io import (
     dump_graph_json,
     dump_labeling_json,
     graph_from_json_dict,
+    load_graph,
     load_graph_text,
     parse_edge_list,
     parse_graph_json,
@@ -175,6 +176,32 @@ def test_dot_export_edge_classes():
     assert '0 -- 2 [class="removed"];' in dot
     assert '1 -- 2 [class="plain"];' in dot
     assert dot.startswith("graph G {")
+
+
+def test_dot_labels_cannot_end_their_string():
+    g = build_graph(2, [(0, 1)], names={0: 'a"]; x [y="z', 1: "b\\"})
+    lines = to_dot(g).splitlines()
+    assert lines[1] == '  0 [label="a\\"]; x [y=\\"z"];'
+    assert lines[2] == '  1 [label="b\\\\"];'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [dump_graph_json(named_graph("petersen")), dump_edge_list(named_graph("petersen"))],
+    ids=["json", "edge-list"],
+)
+def test_file_with_byte_order_mark_loads(tmp_path, text):
+    path = tmp_path / "g"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert load_graph(str(path)).edges == named_graph("petersen").edges
+
+
+def test_undecodable_file_error_names_the_file(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"2 1\n0 1\xff\n")
+    with pytest.raises(ValueError) as exc:
+        load_graph(str(path))
+    assert str(exc.value).startswith(f"{path}: ") and "utf-8" in str(exc.value)
 
 
 def test_labeling_json_round_trip():

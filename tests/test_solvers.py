@@ -12,14 +12,12 @@ from weakiasi import (
     connected_components,
     cycle_graph,
     independence_number,
-    is_bipartite,
     matching_number,
     max_bipartite_subgraph,
     maximum_matching,
     mono_indexed_edges,
     named_graph,
     path_graph,
-    remove_edges,
     sparing_number_exact,
     vertex_cover_number,
     verify_iasi,
@@ -27,6 +25,7 @@ from weakiasi import (
 
 from helpers import (
     all_graphs,
+    bipartization_problem,
     bowtie,
     brute_alpha,
     brute_alpha_witness,
@@ -150,13 +149,7 @@ class TestMaxCut:
     def test_certificate_identities(self):
         for name in ("petersen", "frucht", "grotzsch", "durer", "dodecahedron"):
             g = named_graph(name)
-            cert = max_bipartite_subgraph(g)
-            assert cert.b + len(cert.removed_edges) == g.m
-            stripped = remove_edges(g, cert.removed_edges)
-            assert is_bipartite(stripped).bipartite
-            part0 = set(cert.bipartition[0])
-            kept = set(g.edges) - set(cert.removed_edges)
-            assert all((u in part0) != (v in part0) for u, v in kept)
+            assert bipartization_problem(g, max_bipartite_subgraph(g)) is None, name
 
     def test_random_graphs_match_brute_force(self):
         rng = random.Random(77)
@@ -176,11 +169,8 @@ class TestMaxCut:
         for g in graphs:
             cert = max_bipartite_subgraph(g)
             assert (cert.b, cert.removed_edges) == brute_max_cut_certificate(g)[:2]
-            part0, part1 = cert.bipartition
-            assert sorted(part0 + part1) == list(range(g.n))
-            side1 = set(part1)
-            assert cert.removed_edges == tuple(e for e in g.edges if (e[0] in side1) == (e[1] in side1))
-            assert not side1 & {members[0] for members in connected_components(g)}
+            assert bipartization_problem(g, cert) is None
+            assert not set(cert.bipartition[1]) & {members[0] for members in connected_components(g)}
 
     @pytest.mark.parametrize("n", range(2, 19))
     def test_complete_graph_closed_form(self, n):
