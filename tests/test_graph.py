@@ -45,9 +45,6 @@ class TestBuildGraph:
         with pytest.raises(IsolatedVertexError) as exc:
             build_graph(3, [(0, 1)])
         assert exc.value.vertex == 2
-        with pytest.raises(IsolatedVertexError) as exc:
-            build_graph(2, [])
-        assert exc.value.vertex == 0
 
     def test_complete_graph(self):
         g = build_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
@@ -215,6 +212,13 @@ class TestStructure:
     def test_components(self):
         g = build_graph(6, [(0, 3), (1, 4), (2, 5)])
         assert connected_components(g) == ((0, 3), (1, 4), (2, 5))
+
+    def test_remove_edges_cannot_isolate(self):
+        # dropping the only edge of P2 would leave both ends isolated
+        g = path_graph(2)
+        with pytest.raises(IsolatedVertexError) as exc:
+            build_graph(g.n, [e for e in g.edges if e != (0, 1)])
+        assert exc.value.vertex == 0
 
     def test_path_cycle_predicates(self):
         assert is_path_graph(path_graph(2))
