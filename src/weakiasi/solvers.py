@@ -41,10 +41,22 @@ uncolored vertices every open class blocks need a new class each for a
 greedy clique among them, so a branch also stops when its classes plus that
 clique reach the best count; it holds no smaller coloring, so the first
 optimum found is unchanged.
+
+Each graph is solved once. Every answer is a function of ``graph.adj`` (n and
+the sorted edges follow from it), so a private store keyed by ``adj`` keeps
+the answers of the last distinct graph only: the component masks, the vertex
+mask each ``_union_per_component`` call picks (phi, alpha and the max-cut
+side), and the chromatic and matching answers. All are ints or tuples of
+ints. The public functions check their limit before the lookup, so a
+``TooLargeError`` is raised on every call, and rebuild their records from the
+stored values on every call, so no caller shares another's mutable labeling.
+A new graph replaces the store as one ``(adj, answers)`` tuple, so a
+concurrent caller never reads another graph's answer.
 """
 
 from __future__ import annotations
 
+from functools import wraps
 from typing import NamedTuple
 
 from .errors import TooLargeError
@@ -55,11 +67,37 @@ SOLVER_VERTEX_LIMIT = 32
 MATCHING_VERTEX_LIMIT = 24
 
 
-def _component_masks(graph: Graph) -> list[int]:
+# the last graph solved: its adj, and the answers of the helpers decorated
+# with _per_graph keyed by (helper, *args)
+_solved: tuple[tuple[int, ...], dict] = ((), {})
+
+
+def _per_graph(helper):
+    """``helper(graph, *args)``, which returns an immutable value, run once per graph."""
+
+    @wraps(helper)
+    def once(graph: Graph, *args):
+        global _solved
+        adj, answers = _solved
+        if adj != graph.adj:
+            adj, answers = graph.adj, {}
+            _solved = adj, answers
+        key = (helper, *args)
+        answer = answers.get(key)
+        if answer is None:
+            answer = answers[key] = helper(graph, *args)
+        return answer
+
+    return once
+
+
+@_per_graph
+def _component_masks(graph: Graph) -> tuple[int, ...]:
     """Vertex mask of each connected component, ordered by smallest member."""
-    return [sum(1 << v for v in members) for members in connected_components(graph)]
+    return tuple(sum(1 << v for v in members) for members in connected_components(graph))
 
 
+@_per_graph
 def _union_per_component(graph: Graph, kernel, *args) -> int:
     """Union of the vertex masks ``kernel(graph, members, *args)`` picks in each component."""
     picked = 0
@@ -314,6 +352,11 @@ def maximum_matching(graph: Graph) -> tuple[int, tuple[Edge, ...]]:
     neighbour that keeps nu.
     """
     _require(graph, MATCHING_VERTEX_LIMIT, "matching solver")
+    return _matching(graph)
+
+
+@_per_graph
+def _matching(graph: Graph) -> tuple[int, tuple[Edge, ...]]:
     mate = [0] * graph.n
     size = sum(_matching_component(graph, members, mate) for members in _component_masks(graph))
     return size, tuple((v, u) for v, u in enumerate(mate) if u)
@@ -385,6 +428,11 @@ def chromatic_number(graph: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     class c of the result is the union of the components' classes c.
     """
     _require(graph, SOLVER_VERTEX_LIMIT, "chromatic solver")
+    return _coloring(graph)
+
+
+@_per_graph
+def _coloring(graph: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     merged = [0] * graph.n
     for members in _component_masks(graph):
         for c, mask in enumerate(_color_classes(graph, members)):
@@ -464,7 +512,14 @@ def independence_number(graph: Graph) -> tuple[int, tuple[int, ...]]:
 
 
 def vertex_cover_number(graph: Graph) -> tuple[int, tuple[int, ...]]:
-    """Minimum vertex cover as the complement of a maximum independent set."""
+    """Minimum vertex cover as the complement of a maximum independent set.
+
+    beta = n - alpha (Gallai), so the cover is the complement of
+    ``independence_number``'s witness. That call walks nothing when the last
+    graph solved has this ``graph.adj`` and its alpha is known: the per-graph
+    store (see the module docstring) keeps the walk's independent-set mask,
+    an int, and both tuples are rebuilt from it on every call.
+    """
     alpha, independent = independence_number(graph)
     inside = set(independent)
     cover = tuple(v for v in range(graph.n) if v not in inside)

@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
@@ -10,6 +12,7 @@ from weakiasi import (
     chromatic_number,
     complete_graph,
     connected_components,
+    construct_labeling,
     cycle_graph,
     independence_number,
     matching_number,
@@ -22,6 +25,8 @@ from weakiasi import (
     vertex_cover_number,
     verify_iasi,
 )
+from weakiasi import solvers
+from weakiasi.theorems import run_all_checkers
 
 from helpers import (
     all_graphs,
@@ -116,8 +121,11 @@ class TestSparing:
         assert cert.independent_set == (0, 2, 5, 7)
 
     def test_determinism(self):
-        g = named_graph("frucht")
-        assert sparing_number_exact(g) == sparing_number_exact(g)
+        # another graph in between and a freshly built equal graph, so the
+        # second certificate is solved again, not the first one remembered
+        first = sparing_number_exact(named_graph("frucht"))
+        sparing_number_exact(named_graph("petersen"))
+        assert sparing_number_exact(named_graph("frucht")) == first
 
     def test_too_large(self):
         with pytest.raises(TooLargeError) as exc:
@@ -470,3 +478,200 @@ def test_matching_and_independence_match_networkx():
         assert matching_number(g) == nu
         _, alpha = nx.max_weight_clique(nx.complement(ref), weight=None)
         assert independence_number(g)[0] == alpha
+
+
+# The solvers keep the answers of the last graph solved, keyed by its
+# adjacency. Each answer below is compared with one found by exhaustive search
+# or given by the definitions, never with another solver call.
+
+
+def _phi_answer(g):
+    cert = sparing_number_exact(g)
+    assert verify_iasi(g, cert.labeling).valid_weak
+    return cert.phi, cert.independent_set, cert.mono_edges
+
+
+def _phi_expected(g):
+    independent = brute_sparing_witness(g)
+    mono = tuple(e for e in g.edges if not set(e) & set(independent))
+    assert len(mono) == brute_min_mono(g)
+    return len(mono), independent, mono
+
+
+def _beta_expected(g):
+    alpha_witness = brute_alpha_witness(g)
+    cover = tuple(v for v in range(g.n) if v not in alpha_witness)
+    return len(cover), cover
+
+
+def _cut_answer(g):
+    cert = max_bipartite_subgraph(g)
+    return cert.b, cert.removed_edges, cert.bipartition
+
+
+STORED_ANSWERS = {
+    "phi": (_phi_answer, _phi_expected),
+    "alpha": (independence_number, lambda g: (len(brute_alpha_witness(g)), brute_alpha_witness(g))),
+    "beta": (vertex_cover_number, _beta_expected),
+    "chi": (chromatic_number, lambda g: (len(brute_chromatic_witness(g)), brute_chromatic_witness(g))),
+    "nu": (maximum_matching, brute_matching_witness),
+    "cut": (_cut_answer, brute_max_cut_certificate),
+}
+
+
+@pytest.mark.parametrize("answer", STORED_ANSWERS)
+def test_store_gives_a_graph_its_own_answers_after_another(answer):
+    solve, expected = STORED_ANSWERS[answer]
+    # two graphs on 10 vertices, so only the adjacency tells them apart
+    a, b = named_graph("petersen"), complete_bipartite(4, 6)
+    assert [solve(g) for g in (a, b, a)] == [expected(g) for g in (a, b, a)]
+
+
+@pytest.mark.parametrize("answer", STORED_ANSWERS)
+def test_graphs_differing_only_in_names_get_equal_answers(answer):
+    solve, expected = STORED_ANSWERS[answer]
+    plain = bowtie()
+    named = build_graph(plain.n, plain.edges, names={v: f"v{v}" for v in range(plain.n)})
+    assert named.adj == plain.adj and named != plain
+    assert solve(plain) == solve(named) == expected(plain)
+
+
+def test_graphs_differing_only_in_names_get_equal_certificates():
+    plain = bowtie()
+    named = build_graph(plain.n, plain.edges, names={v: f"v{v}" for v in range(plain.n)})
+    want = construct_labeling(plain, brute_sparing_witness(plain))
+    assert sparing_number_exact(plain) == sparing_number_exact(named)
+    assert sparing_number_exact(named).labeling == want
+
+
+def test_mutating_a_returned_labeling_leaves_the_next_call_alone():
+    g = named_graph("petersen")
+    first = sparing_number_exact(g).labeling
+    first.vertex_labels.clear()
+    second = sparing_number_exact(g).labeling
+    assert second.vertex_labels is not first.vertex_labels
+    assert second == construct_labeling(g, brute_sparing_witness(g))
+    assert verify_iasi(g, second).valid_weak
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        sparing_number_exact,
+        max_bipartite_subgraph,
+        maximum_matching,
+        chromatic_number,
+        independence_number,
+        vertex_cover_number,
+    ],
+)
+def test_too_large_raises_on_every_call(solve):
+    g = path_graph(33)
+    for _ in range(2):
+        with pytest.raises(TooLargeError):
+            solve(g)
+
+
+def test_matching_limit_holds_on_a_graph_already_solved():
+    # alpha of C25 is 12, by the even vertices below 24
+    g = cycle_graph(25)
+    assert independence_number(g) == (12, tuple(range(0, 24, 2)))
+    for _ in range(2):
+        with pytest.raises(TooLargeError) as exc:
+            maximum_matching(g)
+        assert exc.value.limit == 24
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """(function, component mask, vertex cost) for each run of a kernel and
+    of ``connected_components``, starting from an empty store."""
+    runs = []
+    monkeypatch.setattr(solvers, "_solved", ((), {}))
+    for name in ("_min_cover_mask", "_color_classes", "_matching_component", "_max_cut_side"):
+        kernel = getattr(solvers, name)
+
+        def counted(graph, members, *args, _name=name, _kernel=kernel):
+            runs.append((_name, members, args[0] if _name == "_min_cover_mask" else None))
+            return _kernel(graph, members, *args)
+
+        monkeypatch.setattr(solvers, name, counted)
+    components = solvers.connected_components
+
+    def counted_components(graph):
+        runs.append(("connected_components", None, None))
+        return components(graph)
+
+    monkeypatch.setattr(solvers, "connected_components", counted_components)
+    return runs
+
+
+def test_checkers_run_each_kernel_once_per_answer(kernel_runs):
+    # the six checkers ask 13 solver calls of a cycle, for phi, alpha (twice
+    # more through beta), chi, nu and the maximum cut
+    reports = run_all_checkers(cycle_graph(9))
+    assert [r.verdict for r in reports] == ["holds"] * 6
+    every = (1 << 9) - 1
+    assert sorted(kernel_runs, key=repr) == sorted(
+        [
+            ("connected_components", None, None),
+            ("_min_cover_mask", every, 0),
+            ("_min_cover_mask", every, 1),
+            ("_color_classes", every, None),
+            ("_matching_component", every, None),
+            ("_max_cut_side", every, None),
+        ],
+        key=repr,
+    )
+
+
+def test_invariants_sequence_walks_alpha_once_per_component(kernel_runs):
+    # phi, alpha, beta, chi and nu, the benchmark's invariants calls, on a
+    # 5-cycle and a 4-cycle: beta takes alpha's walk, and every kernel runs
+    # once per component and answer
+    g = build_graph(9, [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 4) for i in range(4)])
+    assert sparing_number_exact(g).phi == 1
+    assert independence_number(g) == (4, (0, 2, 5, 7))
+    assert vertex_cover_number(g) == (5, (1, 3, 4, 6, 8))
+    assert chromatic_number(g) == (3, brute_chromatic_witness(g))
+    assert maximum_matching(g) == brute_matching_witness(g)
+    runs = [("connected_components", None, None)]
+    for members in (0b11111, 0b111100000):
+        runs += [
+            ("_min_cover_mask", members, 0),
+            ("_min_cover_mask", members, 1),
+            ("_color_classes", members, None),
+            ("_matching_component", members, None),
+        ]
+    assert sorted(kernel_runs, key=repr) == sorted(runs, key=repr)
+
+
+def test_threads_sharing_the_store_get_their_own_graphs_answers():
+    # four threads on two cores, switching every microsecond, each alternating
+    # between two graphs of 10 vertices; a thread that read the other graph's
+    # stored answer would report it
+    graphs = (named_graph("petersen"), complete_bipartite(4, 6))
+    want = [
+        (len(brute_alpha_witness(g)), brute_alpha_witness(g), brute_sparing_witness(g)) for g in graphs
+    ]
+    wrong = []
+
+    def solve(first):
+        for i in range(600):
+            k = (first + i) % 2
+            got = (*independence_number(graphs[k]), sparing_number_exact(graphs[k]).independent_set)
+            if got != want[k]:
+                wrong.append((k, got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=solve, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
