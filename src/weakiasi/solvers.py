@@ -46,12 +46,14 @@ Each graph is solved once. Every answer is a function of ``graph.adj`` (n and
 the sorted edges follow from it), so a private store keyed by ``adj`` keeps
 the answers of the last distinct graph only: the component masks, the vertex
 mask each ``_union_per_component`` call picks (phi, alpha and the max-cut
-side), and the chromatic and matching answers. All are ints or tuples of
-ints. The public functions check their limit before the lookup, so a
-``TooLargeError`` is raised on every call, and rebuild their records from the
-stored values on every call, so no caller shares another's mutable labeling.
-A new graph replaces the store as one ``(adj, answers)`` tuple, so a
-concurrent caller never reads another graph's answer.
+side), and the chromatic and matching answers, all ints or tuples of ints.
+The public functions check their limit before the lookup, so a
+``TooLargeError`` is raised on every call and never stored. They build the
+sparing, max-cut, independence and cover results from the stored masks on
+every call, so no caller gets another's mutable labeling; the chromatic and
+matching tuples are returned as stored. A new graph replaces the store as one
+``(adj, answers)`` tuple, so a concurrent caller never reads another graph's
+answer.
 """
 
 from __future__ import annotations
