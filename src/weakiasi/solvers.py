@@ -10,13 +10,13 @@ additively (phi, b, nu, alpha, beta) or by maximum (chi). Inputs beyond the
 documented limits raise ``TooLargeError`` rather than degrading to
 heuristics.
 
-The sparing, independence and cover numbers share one search over the
-independent sets I, ``_min_cover_mask``: unit vertex costs on the cover
-C = V - I give beta = |C| and alpha = n - |C|; edge costs give
-phi = |E(G[C])|. With vertex costs a greedy clique cover of the undecided
-vertices bounds the walk from below: I holds at most one vertex of a clique,
-so the others join C. The bound cuts only subtrees holding no cheaper cover,
-so the first optimum found is unchanged.
+The sparing, independence and cover numbers are one maximum-weight
+independent set search, ``_max_weight_independent``. No edge has both ends in
+an independent set I, so the edges touching I number the sum of deg(v) over
+I, and phi = m - max over I of that sum. With unit weights the maximum is
+alpha, and beta = n - alpha. A greedy clique cover of the undecided vertices
+bounds the walk: I holds at most one vertex of a clique. The bound cuts no
+strictly heavier set, so the first optimum found is unchanged.
 
 The matching number is a memoized dynamic program over vertex masks. When the
 lowest vertex has a neighbour it is matched in some maximum matching, so only
@@ -139,13 +139,12 @@ def sparing_number_exact(graph: Graph) -> SparingCertificate:
 
     A weak labeling forces its non-singleton vertices to form an independent
     set, and every independent set is realizable, so the optimum is the
-    minimum over independent sets I of the edge count of G[V - I]. Per
-    component ``_min_cover_mask`` finds it with edge costs only: the edges
-    already inside the cover bound every completion from below, and the
-    first optimum found is the lexicographically smallest I.
+    minimum over independent sets I of the edge count of G[V - I]: m less
+    the sum of deg(v) over I. ``_max_weight_independent`` with weight deg(v)
+    finds the lexicographically smallest optimal I in each component.
     """
     _require(graph, SOLVER_VERTEX_LIMIT, "sparing solver")
-    independent = tuple(_bits(_union_per_component(graph, _min_cover_mask, 0, graph.adj)))
+    independent = tuple(_bits(_union_per_component(graph, _max_weight_independent, graph.degrees())))
     inside = set(independent)
     mono = tuple(e for e in graph.edges if e[0] not in inside and e[1] not in inside)
     labeling = construct_labeling(graph, independent)
@@ -500,16 +499,12 @@ def _color_classes(graph: Graph, members: int) -> list[int]:
 
 
 def independence_number(graph: Graph) -> tuple[int, tuple[int, ...]]:
-    """Exact maximum independent set, as the complement of a least cover.
+    """Exact maximum independent set, the lexicographically smallest one.
 
-    ``_min_cover_mask`` with unit vertex costs, bounded by the vertices
-    already excluded or blocked plus, for each clique of a greedy clique
-    cover of the undecided ones, its size less one. The bound cuts only
-    branches with no larger independent set, so the witness is the
-    lexicographically smallest maximum independent set.
+    ``_max_weight_independent`` with unit weights.
     """
     _require(graph, SOLVER_VERTEX_LIMIT, "independence solver")
-    independent = tuple(_bits(_union_per_component(graph, _min_cover_mask, 1, (0,) * graph.n)))
+    independent = tuple(_bits(_union_per_component(graph, _max_weight_independent, (1,) * graph.n)))
     return len(independent), independent
 
 
@@ -529,60 +524,47 @@ def vertex_cover_number(graph: Graph) -> tuple[int, tuple[int, ...]]:
     return len(cover), cover
 
 
-def _min_cover_mask(graph: Graph, members: int, vertex_cost: int, edge_adj) -> int:
-    """Independent set I (a mask) of a component whose cover C = members - I costs least.
+def _max_weight_independent(graph: Graph, members: int, weight: tuple[int, ...]) -> int:
+    """Mask of the component's independent set with the largest ``weight`` sum.
 
-    ``members`` is the component's vertex mask. A vertex u joining C costs
-    ``vertex_cost + |edge_adj[u] & C|``. The walk starts with the other
-    components' vertices in the cover at no cost, so it skips them, and goes
-    include-first in ascending id; a vertex joins C when excluded, or at once
-    when a chosen neighbour blocks it, so the running cost bounds every
-    completion, ``cost >= best`` prunes, and the first optimum found is the
-    lexicographically smallest I. With ``vertex_cost > 0`` the bound adds
-    ``vertex_cost`` per vertex of a greedy clique cover of the undecided
-    vertices, less one per clique (each free vertex, lowest first, grows a
-    clique from its free neighbours, lowest first): I holds at most one
-    vertex of each clique (a matching is the case of size-two cliques). The
-    bound cuts no strictly cheaper cover, so the first optimum is unchanged.
+    The walk keeps ``free``, the undecided vertices of ``members`` that no
+    chosen vertex blocks, and branches include-first on the lowest: including
+    v drops v and its neighbours from ``free``, excluding it drops v only.
+    Only a strictly larger gain replaces the incumbent, so the first optimum
+    found is the lexicographically smallest set. The bound is a greedy clique
+    cover of ``free``, each free vertex, lowest first, growing a clique from
+    its free neighbours: the set holds at most one vertex of a clique, so
+    each clique adds its heaviest weight until the bound passes the
+    incumbent. It cuts no strictly heavier set.
     """
-    n, adj = graph.n, graph.adj
-    full = (1 << n) - 1
-    best_cost = n * vertex_cost + graph.m + 1
-    best_cover = 0
+    adj = graph.adj
+    best_gain, best = -1, 0
 
-    def walk(idx: int, cover: int, cost: int) -> None:
-        nonlocal best_cost, best_cover
-        if cost >= best_cost:
+    def walk(free: int, chosen: int, gain: int) -> None:
+        nonlocal best_gain, best
+        bound, rest = gain, free
+        while rest and bound <= best_gain:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            rest ^= low
+            heaviest, mates = weight[v], adj[v] & rest
+            while mates:
+                low = mates & -mates
+                u = low.bit_length() - 1
+                rest ^= low
+                mates &= adj[u]
+                if weight[u] > heaviest:
+                    heaviest = weight[u]
+            bound += heaviest
+        if bound <= best_gain:
             return
-        while cover >> idx & 1:
-            idx += 1
-        if idx == n:
-            best_cost, best_cover = cost, cover
+        if not free:
+            best_gain, best = gain, chosen
             return
-        if vertex_cost:
-            # all but one vertex of each clique of a greedy clique cover of
-            # the undecided vertices join C
-            free, forced = ~cover & full >> idx << idx, 0
-            while free:
-                low = free & -free
-                free ^= low
-                mates = adj[low.bit_length() - 1] & free
-                while mates:
-                    low = mates & -mates
-                    free ^= low
-                    mates &= adj[low.bit_length() - 1]
-                    forced += 1
-            if cost + vertex_cost * forced >= best_cost:
-                return
-        new = adj[idx] & ~cover
-        blocked, grown = cover, cost + vertex_cost * new.bit_count()
-        while new:
-            low = new & -new
-            new ^= low
-            grown += (edge_adj[low.bit_length() - 1] & blocked).bit_count()
-            blocked |= low
-        walk(idx + 1, blocked, grown)
-        walk(idx + 1, cover | 1 << idx, cost + vertex_cost + (edge_adj[idx] & cover).bit_count())
+        low = free & -free
+        v = low.bit_length() - 1
+        walk(free & ~(adj[v] | low), chosen | low, gain + weight[v])
+        walk(free ^ low, chosen, gain)
 
-    walk(0, full & ~members, 0)
-    return members & ~best_cover
+    walk(members, 0, 0)
+    return best

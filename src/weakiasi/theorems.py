@@ -122,6 +122,8 @@ def check_union_formula(
     """
     shared = dict(shared or {})
     for a, b in shared.items():
+        if type(a) is not int or type(b) is not int:
+            raise ValueError(f"shared map entry {a!r}: {b!r} is not a pair of int vertex ids")
         if not (0 <= a < g2.n):
             raise ValueError(f"shared key {a} out of range for the second graph")
         if not (0 <= b < g1.n):

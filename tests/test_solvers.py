@@ -430,7 +430,7 @@ class TestIndependence:
 
 def test_independent_set_witnesses_match_exhaustive_search():
     # phi, alpha and beta are one search over independent sets with different
-    # costs; every witness must be the lexicographically smallest optimum
+    # weights; every witness must be the lexicographically smallest optimum
     rng = random.Random(404)
     graphs = [g for n in range(2, 7) for g in all_graphs(n, connected=False)]
     graphs += [random_connected_graph(rng, rng.randint(6, 12)) for _ in range(20)]
@@ -438,6 +438,13 @@ def test_independent_set_witnesses_match_exhaustive_search():
     graphs += [
         random_connected_graph(rng, rng.randint(7, 10), extra=rng.uniform(0.5, 0.9))
         for _ in range(DENSE_GRAPHS)
+    ]
+    # trees and near-trees, where the clique cover bound is loosest for phi
+    graphs += [
+        random_connected_graph(rng, n, extra=extra)
+        for extra in (0.0, 0.1)
+        for n in range(10, 15)
+        for _ in range(4)
     ]
     for g in graphs:
         assert sparing_number_exact(g).independent_set == brute_sparing_witness(g)
@@ -571,15 +578,15 @@ def test_matching_limit_holds_on_a_graph_already_solved():
 
 @pytest.fixture
 def kernel_runs(monkeypatch):
-    """(function, component mask, vertex cost) for each run of a kernel and
-    of ``connected_components``, starting from an empty store."""
+    """(function, component mask, weights) for each run of a kernel and of
+    ``connected_components``, starting from an empty store."""
     runs = []
     monkeypatch.setattr(solvers, "_solved", ((), {}))
-    for name in ("_min_cover_mask", "_color_classes", "_matching_component", "_max_cut_side"):
+    for name in ("_max_weight_independent", "_color_classes", "_matching_component", "_max_cut_side"):
         kernel = getattr(solvers, name)
 
         def counted(graph, members, *args, _name=name, _kernel=kernel):
-            runs.append((_name, members, args[0] if _name == "_min_cover_mask" else None))
+            runs.append((_name, members, args[0] if _name == "_max_weight_independent" else None))
             return _kernel(graph, members, *args)
 
         monkeypatch.setattr(solvers, name, counted)
@@ -602,8 +609,8 @@ def test_checkers_run_each_kernel_once_per_answer(kernel_runs):
     assert sorted(kernel_runs, key=repr) == sorted(
         [
             ("connected_components", None, None),
-            ("_min_cover_mask", every, 0),
-            ("_min_cover_mask", every, 1),
+            ("_max_weight_independent", every, (2,) * 9),
+            ("_max_weight_independent", every, (1,) * 9),
             ("_color_classes", every, None),
             ("_matching_component", every, None),
             ("_max_cut_side", every, None),
@@ -625,8 +632,8 @@ def test_invariants_sequence_walks_alpha_once_per_component(kernel_runs):
     runs = [("connected_components", None, None)]
     for members in (0b11111, 0b111100000):
         runs += [
-            ("_min_cover_mask", members, 0),
-            ("_min_cover_mask", members, 1),
+            ("_max_weight_independent", members, (2,) * 9),
+            ("_max_weight_independent", members, (1,) * 9),
             ("_color_classes", members, None),
             ("_matching_component", members, None),
         ]

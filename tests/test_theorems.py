@@ -115,6 +115,10 @@ class TestUnionFormula:
             check_union_formula(cycle_graph(3), cycle_graph(3), shared={0: 9})
         with pytest.raises(ValueError):
             check_union_formula(cycle_graph(4), cycle_graph(4), shared={0: 1, 1: 1})
+        # a bool or an integral float equals an int id, so only the type tells them apart
+        for shared in ({"0": 1}, {0: "1"}, {0: 1.0}, {True: 0}, {0.0: 1}):
+            with pytest.raises(ValueError, match="int vertex ids"):
+                check_union_formula(cycle_graph(3), cycle_graph(3), shared=shared)
 
 
 class TestOddCycleDecomposition:
