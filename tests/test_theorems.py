@@ -150,6 +150,26 @@ class TestOddCycleDecomposition:
         assert "even" in report.witness["unmet_hypothesis"]
 
 
+class TestMatchingLimit:
+    # the matching solver takes at most 24 vertices; past that the two
+    # checkers that need nu report the limit instead of a verdict
+    LIMIT = {"unmet_hypothesis": "matching solver limit (n <= 24)"}
+
+    @pytest.mark.parametrize("n", [25, 26])
+    def test_cycles_past_the_limit_are_not_applicable(self, n):
+        for check in (check_matching_formula, check_odd_cycle_decomposition):
+            report = check(cycle_graph(n))
+            assert (report.verdict, report.witness) == ("not-applicable", self.LIMIT), check
+            assert_report_self_contained(report)
+
+    def test_odd_degrees_are_reported_before_the_limit(self):
+        g = path_graph(30)
+        assert check_matching_formula(g).witness == self.LIMIT
+        report = check_odd_cycle_decomposition(g)
+        assert report.verdict == "not-applicable"
+        assert report.witness == {"unmet_hypothesis": "every vertex degree is even", "odd_degree_vertex": 0}
+
+
 class TestCoverTheorems:
     def test_small_cycle(self):
         report = check_cover_theorems(cycle_graph(5))
