@@ -3,57 +3,27 @@ matching, chromatic, independence and cover numbers.
 
 All solvers are exact and deterministic. Ties are broken toward the
 lexicographically smallest witness (compared as sorted vertex or edge id
-lists), so identical inputs always yield identical certificates. Each
-connected component is solved in place: a kernel takes the graph and the
-component's vertex mask in the original ids, and the results combine
-additively (phi, b, nu, alpha, beta) or by maximum (chi). Inputs beyond the
-documented limits raise ``TooLargeError`` rather than degrading to
+lists), so identical inputs always yield identical certificates. Inputs
+beyond the documented limits raise ``TooLargeError`` rather than degrading to
 heuristics.
 
-The sparing, independence and cover numbers are one maximum-weight
-independent set search, ``_max_weight_independent``. No edge has both ends in
-an independent set I, so the edges touching I number the sum of deg(v) over
-I, and phi = m - max over I of that sum. With unit weights the maximum is
-alpha, and beta = n - alpha. A greedy clique cover of the undecided vertices
-bounds the walk: I holds at most one vertex of a clique. The bound cuts no
-strictly heavier set, so the first optimum found is unchanged.
-
-The matching number is a memoized dynamic program over vertex masks. When the
-lowest vertex has a neighbour it is matched in some maximum matching, so only
-those branches are taken, and they stop at a matching of k // 2 edges on k
-vertices.
-
-Maximum cut is one branch and bound, ``_max_cut_side``. It places vertices in
-the order they first appear in the sorted edge list and keeps a removed-edge
-bitmask (edge i at bit m-1-i), so the tie-break between equal cuts is one
-integer comparison. Its bound counts, for each undecided vertex, the larger
-of its edge counts to the two sides, and the edges among the k undecided
-vertices less a greedy edge-disjoint triangle packing, at most k*k // 4
-(Poljak & Tuza, "Maximum cuts and large bipartite subgraphs", 1995). A
-greedy cut improved by single-vertex flips, which cuts at least m/2 edges,
-is the first incumbent.
-
-The chromatic number is one branch and bound over color-class bitmasks,
-``_color_classes``: vertices in largest-degree-first order join an open
-class or open one new class, and a branch stops once it holds as many classes
-as the best coloring found, so the first leaf is the greedy coloring. The
-uncolored vertices every open class blocks need a new class each for a
-greedy clique among them, so a branch also stops when its classes plus that
-clique reach the best count; it holds no smaller coloring, so the first
-optimum found is unchanged.
+Each connected component is solved in place by a kernel, ``kernel(graph,
+members, *args)``, which takes the graph and the component's vertex mask in
+the original ids, so no witness is mapped back. Its docstring describes its
+search. It returns an immutable answer: a vertex mask
+(``_max_weight_independent``, ``_max_cut_side``), a tuple of color-class masks
+(``_color_classes``) or a tuple of matched edges (``_matching_component``).
+Components share no vertex, so the masks of a union add up.
 
 Each graph is solved once. Every answer is a function of ``graph.adj`` (n and
 the sorted edges follow from it), so a private store keyed by ``adj`` keeps
-the answers of the last distinct graph only: the component masks, the vertex
-mask each ``_union_per_component`` call picks (phi, alpha and the max-cut
-side), and the chromatic and matching answers, all ints or tuples of ints.
-The public functions check their limit before the lookup, so a
-``TooLargeError`` is raised on every call and never stored. They build the
-sparing, max-cut, independence and cover results from the stored masks on
-every call, so no caller gets another's mutable labeling; the chromatic and
-matching tuples are returned as stored. A new graph replaces the store as one
-``(adj, answers)`` tuple, so a concurrent caller never reads another graph's
-answer.
+the answers of the last distinct graph only: its component masks and, for
+each ``_per_component(graph, kernel, *args)`` call, the tuple of the kernel's
+answers per component. The public functions check their limit before the
+lookup, so a ``TooLargeError`` is raised on every call and never stored, and
+build their results from the stored answers on every call, so no caller gets
+another's mutable labeling. A new graph replaces the store as one ``(adj,
+answers)`` tuple, so a concurrent caller never reads another graph's answer.
 """
 
 from __future__ import annotations
@@ -100,12 +70,9 @@ def _component_masks(graph: Graph) -> tuple[int, ...]:
 
 
 @_per_graph
-def _union_per_component(graph: Graph, kernel, *args) -> int:
-    """Union of the vertex masks ``kernel(graph, members, *args)`` picks in each component."""
-    picked = 0
-    for members in _component_masks(graph):
-        picked |= kernel(graph, members, *args)
-    return picked
+def _per_component(graph: Graph, kernel, *args) -> tuple:
+    """``kernel(graph, members, *args)`` of each component, in ``_component_masks`` order."""
+    return tuple(kernel(graph, members, *args) for members in _component_masks(graph))
 
 
 def _require(graph: Graph, limit: int, what: str) -> None:
@@ -144,7 +111,7 @@ def sparing_number_exact(graph: Graph) -> SparingCertificate:
     finds the lexicographically smallest optimal I in each component.
     """
     _require(graph, SOLVER_VERTEX_LIMIT, "sparing solver")
-    independent = tuple(_bits(_union_per_component(graph, _max_weight_independent, graph.degrees())))
+    independent = tuple(_bits(sum(_per_component(graph, _max_weight_independent, graph.degrees()))))
     inside = set(independent)
     mono = tuple(e for e in graph.edges if e[0] not in inside and e[1] not in inside)
     labeling = construct_labeling(graph, independent)
@@ -175,24 +142,10 @@ def max_bipartite_subgraph(graph: Graph) -> BipartizationCertificate:
     ``b + len(removed_edges) == m`` and the remaining graph is bipartite with
     the reported parts. Among optimal cuts the lexicographically smallest
     removed-edge list wins, with the lowest vertex of each component on
-    side 0.
-
-    Per component a depth-first branch and bound places the vertices in the
-    order they first appear in the sorted edge list, which decides the
-    smallest edges first. The removed edges are kept as a bitmask with edge i
-    at bit m-1-i: every maximum cut removes the same number of edges, so the
-    larger mask is the smaller list and a tie costs one integer comparison.
-    The bound on a node is the cut so far, plus, for each undecided vertex,
-    the larger of its edge counts to the two sides, plus the edges among the
-    undecided vertices less a greedy edge-disjoint triangle packing of them
-    (each triangle keeps at most two edges in any cut), capped at k*k // 4 for
-    k undecided vertices. A subtree is cut when the bound is below the
-    incumbent, or equal to it while even removing every undecided edge cannot
-    raise the mask above the incumbent's. The first incumbent is a greedy
-    placement improved by single-vertex flips, which cuts at least m/2 edges.
+    side 0. ``_max_cut_side`` finds each component's side 1.
     """
     _require(graph, SOLVER_VERTEX_LIMIT, "max-cut solver")
-    side1 = _union_per_component(graph, _max_cut_side)
+    side1 = sum(_per_component(graph, _max_cut_side))
     removed = tuple(e for e in graph.edges if not (side1 >> e[0] ^ side1 >> e[1]) & 1)
     part1 = tuple(_bits(side1))
     part0 = tuple(v for v in range(graph.n) if not side1 >> v & 1)
@@ -216,9 +169,20 @@ def bipartization_number(graph: Graph) -> int:
 def _max_cut_side(graph: Graph, members: int) -> int:
     """Side-1 mask of the component's maximum cut whose removed-edge list is smallest.
 
-    The branch and bound described in ``max_bipartite_subgraph`` over the
-    component with vertex mask ``members``: it maximises the pair (cut,
-    removed-edge mask), edge i of the graph at bit m-1-i.
+    A depth-first branch and bound places the vertices of ``members`` in the
+    order they first appear in the sorted edge list, which decides the
+    smallest edges first. The removed edges are kept as a bitmask with edge i
+    at bit m-1-i: every maximum cut removes the same number of edges, so the
+    larger mask is the smaller list and a tie costs one integer comparison.
+    The bound on a node is the cut so far, plus, for each undecided vertex,
+    the larger of its edge counts to the two sides, plus the edges among the
+    undecided vertices less a greedy edge-disjoint triangle packing of them
+    (each triangle keeps at most two edges in any cut), capped at k*k // 4 for
+    k undecided vertices (Poljak & Tuza, "Maximum cuts and large bipartite
+    subgraphs", 1995). A subtree is cut when the bound is below the
+    incumbent, or equal to it while even removing every undecided edge cannot
+    raise the mask above the incumbent's. The first incumbent is
+    ``_local_search_side``, which cuts at least m/2 edges.
     """
     adj, m = graph.adj, graph.m
     edge_bit = {e: 1 << (m - 1 - i) for i, e in enumerate(graph.edges) if members >> e[0] & 1}
@@ -343,32 +307,28 @@ def _local_search_side(graph: Graph, members: int, order: list[int]) -> int:
 def maximum_matching(graph: Graph) -> tuple[int, tuple[Edge, ...]]:
     """Maximum set of pairwise non-adjacent edges, with a witness.
 
-    Subset dynamic program over vertex masks (memoized on the remaining
-    vertex set), run per component. The lowest vertex v of a mask, if it has
-    a neighbour there, is matched in some maximum matching (swap its
-    neighbour's edge for the one to v), so the program only branches on v's
-    neighbours, and stops at the first one that leaves at most one vertex of
-    the mask unmatched. The witness takes the lowest vertex: it stays
+    The witness takes the lowest vertex of each component first: it stays
     unmatched if nu allows it, otherwise it is matched to its smallest
-    neighbour that keeps nu.
+    neighbour that keeps nu. ``_matching_component`` finds it.
     """
     _require(graph, MATCHING_VERTEX_LIMIT, "matching solver")
-    return _matching(graph)
-
-
-@_per_graph
-def _matching(graph: Graph) -> tuple[int, tuple[Edge, ...]]:
-    mate = [0] * graph.n
-    size = sum(_matching_component(graph, members, mate) for members in _component_masks(graph))
-    return size, tuple((v, u) for v, u in enumerate(mate) if u)
+    matched = sorted(e for edges in _per_component(graph, _matching_component) for e in edges)
+    return len(matched), tuple(matched)
 
 
 def matching_number(graph: Graph) -> int:
     return maximum_matching(graph)[0]
 
 
-def _matching_component(graph: Graph, members: int, mate: list[int]) -> int:
-    """nu of the component ``members``; writes each witness edge (v, u), v < u, as mate[v] = u."""
+def _matching_component(graph: Graph, members: int) -> tuple[Edge, ...]:
+    """Witness edges (v, u), v < u, of a maximum matching of the component ``members``.
+
+    A subset dynamic program over vertex masks, memoized on the remaining
+    vertex set. The lowest vertex v of a mask, if it has a neighbour there,
+    is matched in some maximum matching (swap its neighbour's edge for the
+    one to v), so the program only branches on v's neighbours, and stops at
+    the first one that leaves at most one vertex of the mask unmatched.
+    """
     adj = graph.adj
     memo: dict[int, int] = {0: 0}
 
@@ -394,7 +354,7 @@ def _matching_component(graph: Graph, members: int, mate: list[int]) -> int:
         memo[mask] = best
         return best
 
-    size = rec(members)
+    matched: list[Edge] = []
     mask = members
     while mask:
         low = mask & -mask
@@ -408,10 +368,10 @@ def _matching_component(graph: Graph, members: int, mate: list[int]) -> int:
             ub = nb & -nb
             nb ^= ub
             if 1 + rec(rest ^ ub) == rec(mask):
-                mate[v] = ub.bit_length() - 1
+                matched.append((v, ub.bit_length() - 1))
                 mask = rest ^ ub
                 break
-    return size
+    return tuple(matched)
 
 
 # ---------------------------------------------------------------------------
@@ -429,20 +389,15 @@ def chromatic_number(graph: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     class c of the result is the union of the components' classes c.
     """
     _require(graph, SOLVER_VERTEX_LIMIT, "chromatic solver")
-    return _coloring(graph)
-
-
-@_per_graph
-def _coloring(graph: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     merged = [0] * graph.n
-    for members in _component_masks(graph):
-        for c, mask in enumerate(_color_classes(graph, members)):
-            merged[c] |= mask
+    for classes in _per_component(graph, _color_classes):
+        for c, mask in enumerate(classes):
+            merged[c] += mask
     classes = tuple(tuple(_bits(mask)) for mask in merged if mask)
     return len(classes), classes
 
 
-def _color_classes(graph: Graph, members: int) -> list[int]:
+def _color_classes(graph: Graph, members: int) -> tuple[int, ...]:
     """Class masks of the component's first optimal coloring, in color order.
 
     Depth first over the vertices of ``members`` in ``(-degree, id)`` order; a
@@ -457,7 +412,7 @@ def _color_classes(graph: Graph, members: int) -> list[int]:
     n = len(order)
     classes: list[int] = []
     near: list[int] = []  # near[c]: the neighbours of classes[c]
-    best = [0] * (n + 1)  # longer than any coloring
+    best = (0,) * (n + 1)  # longer than any coloring
 
     def extend(i: int) -> None:
         nonlocal best
@@ -473,7 +428,7 @@ def _color_classes(graph: Graph, members: int) -> list[int]:
         if need >= len(best):
             return
         if i == n:
-            best = classes.copy()
+            best = tuple(classes)
             return
         v = order[i]
         bit, adj_v = 1 << v, adj[v]
@@ -504,7 +459,7 @@ def independence_number(graph: Graph) -> tuple[int, tuple[int, ...]]:
     ``_max_weight_independent`` with unit weights.
     """
     _require(graph, SOLVER_VERTEX_LIMIT, "independence solver")
-    independent = tuple(_bits(_union_per_component(graph, _max_weight_independent, (1,) * graph.n)))
+    independent = tuple(_bits(sum(_per_component(graph, _max_weight_independent, (1,) * graph.n))))
     return len(independent), independent
 
 
@@ -512,11 +467,10 @@ def vertex_cover_number(graph: Graph) -> tuple[int, tuple[int, ...]]:
     """Minimum vertex cover as the complement of a maximum independent set.
 
     beta = n - alpha (Gallai), so the cover is the complement of
-    ``independence_number``'s witness. That call walks nothing when the last
-    graph solved has this ``graph.adj`` and its alpha is known: the per-graph
-    store (see the module docstring) keeps the walk's independent-set mask,
-    an int, and both tuples are rebuilt from it on every call.
+    ``independence_number``'s witness, which the store (see the module
+    docstring) keeps once alpha of this ``graph.adj`` is known.
     """
+    _require(graph, SOLVER_VERTEX_LIMIT, "cover solver")
     alpha, independent = independence_number(graph)
     inside = set(independent)
     cover = tuple(v for v in range(graph.n) if v not in inside)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple
 
+from .errors import TooLargeError
 from .graph import (
     Graph,
     _to_json,
@@ -20,7 +21,6 @@ from .graph import (
 )
 from .labeling import construct_labeling
 from .solvers import (
-    MATCHING_VERTEX_LIMIT,
     chromatic_number,
     independence_number,
     matching_number,
@@ -98,11 +98,10 @@ def check_matching_formula(graph: Graph) -> TheoremReport:
     inputs = _describe(graph)
     if not (is_path_graph(graph) or is_cycle_graph(graph)):
         return _not_applicable("matching-formula", inputs, "graph is a path or a cycle")
-    if graph.n > MATCHING_VERTEX_LIMIT:
-        return _not_applicable(
-            "matching-formula", inputs, f"matching solver limit (n <= {MATCHING_VERTEX_LIMIT})"
-        )
-    nu = matching_number(graph)
+    try:
+        nu = matching_number(graph)
+    except TooLargeError as exc:
+        return _not_applicable("matching-formula", inputs, f"matching solver limit (n <= {exc.limit})")
     lhs = sparing_number_exact(graph).phi
     rhs = (graph.n + 1) // 2 - nu
     witness = {"matching_number": nu, "half_ceiling": (graph.n + 1) // 2}
@@ -190,15 +189,14 @@ def check_odd_cycle_decomposition(graph: Graph) -> TheoremReport:
             "every vertex degree is even",
             {"odd_degree_vertex": odd[0]},
         )
-    if graph.n > MATCHING_VERTEX_LIMIT:
+    try:
+        nu = matching_number(graph)
+    except TooLargeError as exc:
         return _not_applicable(
-            "odd-cycle-decomposition",
-            inputs,
-            f"matching solver limit (n <= {MATCHING_VERTEX_LIMIT})",
+            "odd-cycle-decomposition", inputs, f"matching solver limit (n <= {exc.limit})"
         )
     cycles = decompose_into_cycles(graph)
     sizes = [len(c) for c in cycles]
-    nu = matching_number(graph)
     cycle_nus = [s // 2 for s in sizes]
     witness = {
         "cycles": [list(c) for c in cycles],

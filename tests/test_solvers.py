@@ -548,22 +548,23 @@ def test_mutating_a_returned_labeling_leaves_the_next_call_alone():
     assert verify_iasi(g, second).valid_weak
 
 
-@pytest.mark.parametrize(
-    "solve",
-    [
-        sparing_number_exact,
-        max_bipartite_subgraph,
-        maximum_matching,
-        chromatic_number,
-        independence_number,
-        vertex_cover_number,
-    ],
-)
+SOLVER_NAMES = {
+    sparing_number_exact: "sparing solver",
+    max_bipartite_subgraph: "max-cut solver",
+    maximum_matching: "matching solver",
+    chromatic_number: "chromatic solver",
+    independence_number: "independence solver",
+    vertex_cover_number: "cover solver",
+}
+
+
+@pytest.mark.parametrize("solve", SOLVER_NAMES)
 def test_too_large_raises_on_every_call(solve):
     g = path_graph(33)
     for _ in range(2):
-        with pytest.raises(TooLargeError):
+        with pytest.raises(TooLargeError) as exc:
             solve(g)
+        assert exc.value.what == SOLVER_NAMES[solve]
 
 
 def test_matching_limit_holds_on_a_graph_already_solved():
@@ -638,6 +639,27 @@ def test_invariants_sequence_walks_alpha_once_per_component(kernel_runs):
             ("_matching_component", members, None),
         ]
     assert sorted(kernel_runs, key=repr) == sorted(runs, key=repr)
+
+
+def test_store_holds_only_immutable_answers(monkeypatch):
+    # the triangle 0-2-4 with the tail 4-6-8 and the path 1-3-5-7-9: the
+    # invariants calls and the checkers store the component masks and one
+    # answer per kernel and weights, each an int or a tuple of them
+    monkeypatch.setattr(solvers, "_solved", ((), {}))
+    g = build_graph(10, [(0, 2), (0, 4), (2, 4), (4, 6), (6, 8), (1, 3), (3, 5), (5, 7), (7, 9)])
+    for solve in (sparing_number_exact, independence_number, vertex_cover_number, chromatic_number):
+        solve(g)
+    assert maximum_matching(g) == brute_matching_witness(g)
+    run_all_checkers(g)
+
+    def ints_or_tuples(value):
+        return type(value) is int or type(value) is tuple and all(map(ints_or_tuples, value))
+
+    adj, answers = solvers._solved
+    assert adj == g.adj and len(answers) == 6
+    for key, answer in answers.items():
+        assert ints_or_tuples(answer), key
+        hash(answer)
 
 
 def test_threads_sharing_the_store_get_their_own_graphs_answers():
