@@ -479,46 +479,64 @@ def vertex_cover_number(graph: Graph) -> tuple[int, tuple[int, ...]]:
 
 
 def _max_weight_independent(graph: Graph, members: int, weight: tuple[int, ...]) -> int:
-    """Mask of the component's independent set with the largest ``weight`` sum.
+    """Mask of the component's smallest independent set of largest ``weight`` sum.
 
+    Each vertex scores W(v) = weight[v]·2ⁿ + 2^(n−1−v). The tie bits of a
+    set sum to less than 2ⁿ, so they never outweigh a unit of weight, and of
+    two sets of equal weight the one holding the lowest vertex of their
+    difference scores higher. So the unique W-maximum is the witness, the
+    lexicographically smallest heaviest set, and any branch order finds it.
     The walk keeps ``free``, the undecided vertices of ``members`` that no
-    chosen vertex blocks, and branches include-first on the lowest: including
-    v drops v and its neighbours from ``free``, excluding it drops v only.
-    Only a strictly larger gain replaces the incumbent, so the first optimum
-    found is the lexicographically smallest set. The bound is a greedy clique
-    cover of ``free``, each free vertex, lowest first, growing a clique from
-    its free neighbours: the set holds at most one vertex of a clique, so
-    each clique adds its heaviest weight until the bound passes the
-    incumbent. It cuts no strictly heavier set.
+    chosen vertex blocks, and branches include-first on the lowest free
+    vertex of the heaviest weight group that still has one: including v
+    drops v and its neighbours from ``free``, excluding it drops v only. The
+    bound is a greedy clique cover of ``free``, each free vertex, lowest
+    first, growing a clique from its free neighbours: the set holds at most
+    one vertex of a clique, so each clique adds its largest W until the bound
+    passes the incumbent. Only a strictly larger score replaces the
+    incumbent, so no cut loses the witness. With one weight the branch order
+    is the id order, whose first optimum is already the smallest set, so W
+    is the weight alone.
     """
-    adj = graph.adj
+    adj, n = graph.adj, graph.n
+    heavy_first = [members]
+    if len(set(weight)) > 1:
+        groups: dict[int, int] = {}
+        for v in _bits(members):
+            groups[weight[v]] = groups.get(weight[v], 0) | 1 << v
+        heavy_first = [groups[w] for w in sorted(groups, reverse=True)]
+    score = weight if len(heavy_first) == 1 else [w << n | 1 << (n - 1 - v) for v, w in enumerate(weight)]
     best_gain, best = -1, 0
 
-    def walk(free: int, chosen: int, gain: int) -> None:
+    def walk(free: int, chosen: int, gain: int, g: int) -> None:
         nonlocal best_gain, best
         bound, rest = gain, free
         while rest and bound <= best_gain:
             low = rest & -rest
             v = low.bit_length() - 1
             rest ^= low
-            heaviest, mates = weight[v], adj[v] & rest
+            heaviest, mates = score[v], adj[v] & rest
             while mates:
                 low = mates & -mates
                 u = low.bit_length() - 1
                 rest ^= low
                 mates &= adj[u]
-                if weight[u] > heaviest:
-                    heaviest = weight[u]
+                if score[u] > heaviest:
+                    heaviest = score[u]
             bound += heaviest
         if bound <= best_gain:
             return
         if not free:
             best_gain, best = gain, chosen
             return
-        low = free & -free
+        group = free & heavy_first[g]
+        while not group:
+            g += 1
+            group = free & heavy_first[g]
+        low = group & -group
         v = low.bit_length() - 1
-        walk(free & ~(adj[v] | low), chosen | low, gain + weight[v])
-        walk(free ^ low, chosen, gain)
+        walk(free & ~(adj[v] | low), chosen | low, gain + score[v], g)
+        walk(free ^ low, chosen, gain, g)
 
-    walk(members, 0, 0)
+    walk(members, 0, 0, 0)
     return best

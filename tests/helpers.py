@@ -249,6 +249,44 @@ def brute_alpha_witness(g: Graph) -> tuple[int, ...]:
     return min(_independent_subsets(g), key=lambda s: (-len(s), s))
 
 
+def forest_heaviest_degree_set(g: Graph) -> int:
+    """Largest sum of deg(v) over an independent set of the forest ``g``.
+
+    A leaf-up dynamic program over each tree of the edge list: a vertex
+    taken adds its degree to its children's best values without them, a
+    vertex left out adds each child's better value. Raises ``ValueError``
+    if ``g`` has a cycle.
+    """
+    neighbours: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    parent: dict[int, int | None] = {}
+    total = 0
+    for root in range(g.n):
+        if root in parent:
+            continue
+        parent[root] = None
+        order, stack = [], [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for u in neighbours[v]:
+                if u == parent[v]:
+                    continue
+                if u in parent:
+                    raise ValueError("not a forest")
+                parent[u] = v
+                stack.append(u)
+        taken, left = {}, {}
+        for v in reversed(order):
+            children = [u for u in neighbours[v] if u != parent[v]]
+            taken[v] = len(neighbours[v]) + sum(left[u] for u in children)
+            left[v] = sum(max(taken[u], left[u]) for u in children)
+        total += max(taken[root], left[root])
+    return total
+
+
 def has_triangle(g: Graph) -> bool:
     return any(
         g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)

@@ -22,6 +22,7 @@ from weakiasi import (
     named_graph,
     path_graph,
     sparing_number_exact,
+    star_graph,
     vertex_cover_number,
     verify_iasi,
 )
@@ -45,6 +46,7 @@ from helpers import (
     complete_bipartite,
     covers_all_edges,
     first_fit_color_count,
+    forest_heaviest_degree_set,
     has_triangle,
     is_independent,
     random_connected_graph,
@@ -126,6 +128,29 @@ class TestSparing:
         first = sparing_number_exact(named_graph("frucht"))
         sparing_number_exact(named_graph("petersen"))
         assert sparing_number_exact(named_graph("frucht")) == first
+
+    @pytest.mark.parametrize("n", range(24, 33))
+    def test_path_at_the_limit(self, n):
+        # each edge has one even end, so the even vertices give phi = 0; the ends
+        # weigh 1 and the inner vertices 2, so the odd side weighs as much, and
+        # the search branches on vertex 1 first, but the side holding 0 wins
+        cert = sparing_number_exact(path_graph(n))
+        assert (cert.phi, cert.independent_set) == (0, tuple(range(0, n, 2)))
+
+    @pytest.mark.parametrize(
+        "g, witness",
+        [
+            (star_graph(31), (0,)),
+            (complete_bipartite(8, 24), tuple(range(8))),
+            (complete_bipartite(24, 8), tuple(range(24))),
+        ],
+        ids=["star-31", "K8,24", "K24,8"],
+    )
+    def test_complete_bipartite_at_the_limit(self, g, witness):
+        # either side covers every edge, so phi = 0 and the side holding 0 wins,
+        # also in K24,8, where the heavier side 24..31 is branched on first
+        cert = sparing_number_exact(g)
+        assert (cert.phi, cert.independent_set) == (0, witness)
 
     def test_too_large(self):
         with pytest.raises(TooLargeError) as exc:
@@ -453,6 +478,28 @@ def test_independent_set_witnesses_match_exhaustive_search():
         beta, cover = vertex_cover_number(g)
         assert tuple(v for v in range(g.n) if v not in cover) == alpha_witness
         assert beta == g.n - len(alpha_witness)
+
+
+def test_phi_on_forests_at_the_limit_matches_a_tree_dp():
+    # phi = m - the heaviest independent set with weight deg(v), which a leaf-up
+    # DP finds exactly on a forest
+    rng = random.Random(2432)
+    forests = [random_connected_graph(rng, rng.randint(24, 32), extra=0.0) for _ in range(30)]
+    for _ in range(6):
+        edges, n = [], 0
+        while n < 24:
+            size = rng.randint(2, 32 - n)
+            edges += [(u + n, v + n) for u, v in random_connected_graph(rng, size, extra=0.0).edges]
+            n += size
+        forests.append(build_graph(n, edges))
+    # path(16) beside star(15)
+    forests.append(build_graph(32, [(i, i + 1) for i in range(15)] + [(16, i) for i in range(17, 32)]))
+    for g in forests:
+        heaviest = forest_heaviest_degree_set(g)
+        cert = sparing_number_exact(g)
+        assert cert.phi == g.m - heaviest
+        assert is_independent(g, cert.independent_set)
+        assert sum(g.degree(v) for v in cert.independent_set) == heaviest
 
 
 def test_matching_witness_matches_exhaustive_search():
