@@ -253,9 +253,9 @@ def forest_heaviest_degree_set(g: Graph) -> int:
     """Largest sum of deg(v) over an independent set of the forest ``g``.
 
     A leaf-up dynamic program over each tree of the edge list: a vertex
-    taken adds its degree to its children's best values without them, a
-    vertex left out adds each child's better value. Raises ``ValueError``
-    if ``g`` has a cycle.
+    taken scores its degree plus each child's best without that child, a
+    vertex left out scores each child's better value. Raises
+    ``ValueError`` if ``g`` has a cycle.
     """
     neighbours: list[list[int]] = [[] for _ in range(g.n)]
     for u, v in g.edges:
