@@ -11,6 +11,7 @@ define at import, and so also tuples: iterable, indexable, equal to a tuple.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
@@ -21,9 +22,6 @@ from .errors import (
 )
 
 Edge = tuple[int, int]
-
-NAMED_GRAPHS = ("petersen", "frucht", "grotzsch", "durer", "dodecahedron")
-GRAPH_FAMILIES = ("cycle", "path", "complete", "star")
 
 # LCF shifts for the standard 12-vertex cubic realization of the Frucht graph.
 _FRUCHT_LCF = (-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2)
@@ -75,9 +73,6 @@ class Graph(NamedTuple):
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(_bits(self.adj[v]))
 
     def name_of(self, v: int) -> str:
         return self.names.get(v, str(v))
@@ -142,19 +137,16 @@ def build_graph(
             raise InvalidEdgeError(e[0], e[1], "duplicate edge")
         seen.add(e)
         normalized.append(e)
-    if n > 2 * len(normalized):
-        # m edges touch at most 2m vertices; name the first untouched one
-        # without allocating per vertex, since n may come from hostile input
-        touched = {v for e in normalized for v in e}
+    touched = set().union(*normalized)
+    if len(touched) < n:
+        # the scan stops within len(touched) + 1 ids and nothing is allocated
+        # per vertex before this check, since n may come from hostile input
         raise IsolatedVertexError(next(v for v in range(n) if v not in touched))
     normalized.sort()
     adj = [0] * n
     for u, v in normalized:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    for v in range(n):
-        if adj[v] == 0:
-            raise IsolatedVertexError(v)
     name_map = {v: str(alias) for v, alias in by_vertex_id(names or {}, "name").items()}
     for v in name_map:
         if not (0 <= v < n):
@@ -167,15 +159,15 @@ def build_graph(
 # ---------------------------------------------------------------------------
 
 
-def _generalized_petersen(k: int, skip: int, outer: str = "u", inner: str = "v") -> Graph:
+def _generalized_petersen(k: int, skip: int) -> Graph:
     """Outer k-cycle 0..k-1, inner star polygon k..2k-1 with the given skip, plus spokes."""
     edges = []
     for i in range(k):
         edges.append((i, (i + 1) % k))
         edges.append((i, k + i))
         edges.append((k + i, k + (i + skip) % k))
-    names = {i: f"{outer}{i + 1}" for i in range(k)}
-    names.update({k + i: f"{inner}{i + 1}" for i in range(k)})
+    names = {i: f"u{i + 1}" for i in range(k)}
+    names.update({k + i: f"v{i + 1}" for i in range(k)})
     return build_graph(2 * k, edges, names)
 
 
@@ -226,12 +218,20 @@ def star_graph(n: int) -> Graph:
     return build_graph(n + 1, [(0, i) for i in range(1, n + 1)])
 
 
-_FAMILY_BUILDERS = {
-    "cycle": cycle_graph,
-    "path": path_graph,
-    "complete": complete_graph,
-    "star": star_graph,
+# name -> (builder, the parameter a family takes, or None for a fixed graph)
+_CORPUS = {
+    "petersen": (partial(_generalized_petersen, 5, 2), None),
+    "frucht": (partial(_lcf_graph, 12, _FRUCHT_LCF), None),
+    "grotzsch": (partial(_mycielskian_of_cycle, 5), None),
+    "durer": (partial(_generalized_petersen, 6, 2), None),
+    "dodecahedron": (partial(_generalized_petersen, 10, 2), None),
+    "cycle": (cycle_graph, "n >= 3"),
+    "path": (path_graph, "n >= 2"),
+    "complete": (complete_graph, "n >= 2"),
+    "star": (star_graph, "n >= 1 (n leaves, n + 1 vertices)"),
 }
+NAMED_GRAPHS = tuple(name for name, (_, parameter) in _CORPUS.items() if parameter is None)
+GRAPH_FAMILIES = tuple(name for name, (_, parameter) in _CORPUS.items() if parameter is not None)
 
 
 def named_graph(name: str, param: int | None = None) -> Graph:
@@ -241,38 +241,25 @@ def named_graph(name: str, param: int | None = None) -> Graph:
     Parameterized families: cycle(n), path(n), complete(n), star(n).
     """
     key = name.strip().lower()
-    if key in _FAMILY_BUILDERS:
-        if param is None:
-            raise ValueError(f"{key}(n) requires a parameter")
-        return _FAMILY_BUILDERS[key](param)
-    if key in NAMED_GRAPHS:
+    if key not in _CORPUS:
+        raise UnknownNameError(name, tuple(_CORPUS))
+    build, parameter = _CORPUS[key]
+    if parameter is None:
         if param is not None:
             raise ValueError(f"{key} does not take a parameter")
-        if key == "petersen":
-            return _generalized_petersen(5, 2)
-        if key == "durer":
-            return _generalized_petersen(6, 2)
-        if key == "dodecahedron":
-            return _generalized_petersen(10, 2)
-        if key == "frucht":
-            return _lcf_graph(12, _FRUCHT_LCF)
-        return _mycielskian_of_cycle(5)
-    raise UnknownNameError(name, NAMED_GRAPHS + GRAPH_FAMILIES)
+        return build()
+    if param is None:
+        raise ValueError(f"{key}(n) requires a parameter")
+    return build(param)
 
 
 def named_catalog() -> dict:
     """Catalog of the fixed corpus (with sizes) and the parameterized families."""
-    fixed = []
-    for name in NAMED_GRAPHS:
-        g = named_graph(name)
-        fixed.append({"name": name, "vertices": g.n, "edges": g.m})
-    families = [
-        {"name": "cycle", "parameter": "n >= 3"},
-        {"name": "path", "parameter": "n >= 2"},
-        {"name": "complete", "parameter": "n >= 2"},
-        {"name": "star", "parameter": "n >= 1 (n leaves, n + 1 vertices)"},
-    ]
-    return {"named": fixed, "families": families}
+    graphs = {name: named_graph(name) for name in NAMED_GRAPHS}
+    return {
+        "named": [{"name": name, "vertices": g.n, "edges": g.m} for name, g in graphs.items()],
+        "families": [{"name": name, "parameter": _CORPUS[name][1]} for name in GRAPH_FAMILIES],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -290,43 +277,38 @@ def _canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def decompose_into_cycles(graph: Graph) -> tuple[tuple[int, ...], ...]:
-    """The edge set as edge-disjoint simple cycles, found by repeated greedy extraction.
+    """The edge set as edge-disjoint simple cycles, peeled off one walk at a time.
 
     Requires every vertex degree to be even (``NotEulerianError`` otherwise).
     Walks from the smallest vertex with remaining edges, always toward the
     smallest unused neighbor; the first repeated vertex closes a cycle, whose
-    edges are removed. Edges walked before the cycle started are restored.
+    edges are removed, and the walk goes on from that vertex.
     """
-    for v in range(graph.n):
-        d = graph.degree(v)
+    for v, d in enumerate(graph.degrees()):
         if d % 2:
             raise NotEulerianError(v, d)
-    adj = [set(graph.neighbors(v)) for v in range(graph.n)]
-    edges_left = graph.m
+    adj = list(graph.adj)
     cycles: list[tuple[int, ...]] = []
-    start = 0
-    while edges_left:
-        while start < graph.n and not adj[start]:
-            start += 1
+    for start in range(graph.n):
         stack = [start]
         position = {start: 0}
-        while True:
+        # while the walk is away from start, start keeps an odd number of
+        # unused edges, so the loop ends only with the walk back at start
+        while adj[start]:
             cur = stack[-1]
-            nxt = min(adj[cur])
-            adj[cur].discard(nxt)
-            adj[nxt].discard(cur)
+            low = adj[cur] & -adj[cur]
+            nxt = low.bit_length() - 1
+            adj[cur] ^= low
+            adj[nxt] ^= 1 << cur
             if nxt in position:
                 i = position[nxt]
-                cycle = tuple(stack[i:])
-                cycles.append(_canonical_cycle(cycle))
-                edges_left -= len(cycle)
-                # restore the walked-but-unused prefix edges
-                for j in range(i):
-                    adj[stack[j]].add(stack[j + 1])
-                    adj[stack[j + 1]].add(stack[j])
-                break
-            position[nxt] = len(stack)
-            stack.append(nxt)
+                cycles.append(_canonical_cycle(tuple(stack[i:])))
+                for v in stack[i + 1:]:
+                    del position[v]
+                del stack[i + 1:]
+            else:
+                position[nxt] = len(stack)
+                stack.append(nxt)
     return tuple(cycles)
 
 

@@ -112,6 +112,17 @@ class LabelingReport(NamedTuple):
         return {**_to_json(self._replace(edge_indexing_numbers=numbers)), "valid_weak": self.valid_weak}
 
 
+def _first_repeat(items):
+    """Over distinct ``(item, key)`` pairs, ``(earlier, later)``: the first item whose
+    key an earlier item had, and the first item that had it; None if no key repeats."""
+    first: dict = {}
+    for item, key in items:
+        earlier = first.setdefault(key, item)
+        if earlier != item:
+            return earlier, item
+    return None
+
+
 def verify_iasi(graph: Graph, labeling: IasiLabeling) -> LabelingReport:
     """Check vertex-injectivity, edge-injectivity (by set equality) and weakness.
 
@@ -133,29 +144,13 @@ def verify_iasi(graph: Graph, labeling: IasiLabeling) -> LabelingReport:
             f"labeling's edge sumsets need {work} additions, more than the limit of {SUMSET_WORK_LIMIT}"
         )
 
-    vertex_collision = None
-    seen_vertex: dict[Label, int] = {}
-    for v, lbl in enumerate(labels):
-        if lbl in seen_vertex:
-            if vertex_collision is None:
-                vertex_collision = (seen_vertex[lbl], v)
-        else:
-            seen_vertex[lbl] = v
-
-    edge_collision = None
-    weak_violation = None
-    numbers: dict[Edge, int] = {}
-    seen_edge: dict[Label, Edge] = {}
-    for e in graph.edges:
-        lbl = sumset(labels[e[0]], labels[e[1]])
-        numbers[e] = len(lbl)
-        if lbl in seen_edge:
-            if edge_collision is None:
-                edge_collision = (seen_edge[lbl], e)
-        else:
-            seen_edge[lbl] = e
-        if weak_violation is None and len(lbl) != max(len(labels[e[0]]), len(labels[e[1]])):
-            weak_violation = e
+    edge_labels = [sumset(labels[u], labels[v]) for u, v in graph.edges]
+    vertex_collision = _first_repeat(enumerate(labels))
+    edge_collision = _first_repeat(zip(graph.edges, edge_labels))
+    numbers = {e: len(lbl) for e, lbl in zip(graph.edges, edge_labels)}
+    weak_violation = next(
+        (e for e in graph.edges if numbers[e] != max(len(labels[e[0]]), len(labels[e[1]]))), None
+    )
 
     return LabelingReport(
         vertex_injective=vertex_collision is None,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple
 
-from .errors import TooLargeError
+from .errors import NotEulerianError, TooLargeError
 from .graph import (
     Graph,
     _to_json,
@@ -181,21 +181,20 @@ def check_odd_cycle_decomposition(graph: Graph) -> TheoremReport:
     the known point of failure).
     """
     inputs = _describe(graph)
-    odd = [v for v in range(graph.n) if graph.degree(v) % 2]
-    if odd:
+    try:
+        cycles = decompose_into_cycles(graph)
+        nu = matching_number(graph)
+    except NotEulerianError as exc:
         return _not_applicable(
             "odd-cycle-decomposition",
             inputs,
             "every vertex degree is even",
-            {"odd_degree_vertex": odd[0]},
+            {"odd_degree_vertex": exc.vertex},
         )
-    try:
-        nu = matching_number(graph)
     except TooLargeError as exc:
         return _not_applicable(
             "odd-cycle-decomposition", inputs, f"matching solver limit (n <= {exc.limit})"
         )
-    cycles = decompose_into_cycles(graph)
     sizes = [len(c) for c in cycles]
     cycle_nus = [s // 2 for s in sizes]
     witness = {

@@ -23,7 +23,7 @@ def two_squares_sharing_vertex() -> Graph:
 
 
 def butterfly_at_one() -> Graph:
-    """Two triangles sharing vertex 1; exercises walk-prefix restoration."""
+    """Two triangles sharing vertex 1; the walk from 0 closes its first cycle at 1."""
     return build_graph(5, [(0, 1), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)])
 
 
@@ -285,6 +285,58 @@ def forest_heaviest_degree_set(g: Graph) -> int:
             left[v] = sum(max(taken[u], left[u]) for u in children)
         total += max(taken[root], left[root])
     return total
+
+
+def restart_cycle_decomposition(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The documented cycle decomposition by its first form, read from the edge list.
+
+    Each walk starts at the smallest vertex with unused edges and moves to the
+    smallest unused neighbour until a vertex repeats. The cycle it closes is
+    removed, the edges walked before that cycle are put back, and the next
+    walk starts again from the smallest vertex. Every cycle is written from
+    its smallest vertex toward the smaller of that vertex's two neighbours.
+    """
+    unused: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        unused[u].add(v)
+        unused[v].add(u)
+    cycles = []
+    while any(unused):
+        walk = [min(v for v in range(g.n) if unused[v])]
+        while True:
+            nxt = min(unused[walk[-1]])
+            unused[walk[-1]].discard(nxt)
+            unused[nxt].discard(walk[-1])
+            if nxt in walk:
+                i = walk.index(nxt)
+                for a, b in zip(walk[:i], walk[1:i + 1]):
+                    unused[a].add(b)
+                    unused[b].add(a)
+                cycle = walk[i:]
+                low = cycle.index(min(cycle))
+                cycle = cycle[low:] + cycle[:low]
+                if cycle[-1] < cycle[1]:
+                    cycle = cycle[:1] + cycle[:0:-1]
+                cycles.append(tuple(cycle))
+                break
+            walk.append(nxt)
+    return tuple(cycles)
+
+
+def random_even_degree_graph(rng: random.Random, n: int) -> Graph:
+    """A Hamiltonian cycle on n >= 3 vertices, then four random cycles added mod 2.
+
+    Adding a cycle mod 2 keeps every degree even; vertices left with no edge
+    are dropped and the others renumbered in order, so the graph may have
+    fewer than n vertices.
+    """
+    edges: set[tuple[int, int]] = set()
+    for length in [n] + [rng.randrange(3, n + 1) for _ in range(4)]:
+        cycle = rng.sample(range(n), length)
+        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+            edges ^= {(min(u, v), max(u, v))}
+    ids = {v: i for i, v in enumerate(sorted({v for e in edges for v in e}))}
+    return build_graph(len(ids), [(ids[u], ids[v]) for u, v in edges])
 
 
 def has_triangle(g: Graph) -> bool:

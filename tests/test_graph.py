@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from weakiasi import (
@@ -20,7 +22,15 @@ from weakiasi import (
 
 from weakiasi.solvers import BipartizationCertificate
 
-from helpers import bipartization_problem, bowtie, butterfly_at_one, has_triangle
+from helpers import (
+    all_graphs,
+    bipartization_problem,
+    bowtie,
+    butterfly_at_one,
+    has_triangle,
+    random_even_degree_graph,
+    restart_cycle_decomposition,
+)
 
 
 def assert_valid_cycle(g, cycle):
@@ -45,6 +55,25 @@ class TestBuildGraph:
         with pytest.raises(IsolatedVertexError) as exc:
             build_graph(3, [(0, 1)])
         assert exc.value.vertex == 2
+
+    @pytest.mark.parametrize(
+        "n,edges,lowest",
+        [
+            (5, [(3, 4)], 0),  # n > 2m: more vertices than the edges can touch
+            (4, [(0, 1), (0, 2)], 3),  # n <= 2m
+            (5, [(0, 3), (0, 4), (3, 4)], 1),  # n <= 2m, vertices 1 and 2 isolated
+        ],
+    )
+    def test_lowest_isolated_vertex_named(self, n, edges, lowest):
+        with pytest.raises(IsolatedVertexError) as exc:
+            build_graph(n, edges)
+        assert exc.value.vertex == lowest
+
+    def test_huge_vertex_count_fails_fast(self):
+        # a per-vertex list of 10**12 entries would exhaust memory long before failing
+        with pytest.raises(IsolatedVertexError) as exc:
+            build_graph(10**12, [(0, 1), (1, 2)])
+        assert exc.value.vertex == 3
 
     def test_complete_graph(self):
         g = build_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
@@ -134,9 +163,21 @@ class TestNamedGraphs:
             named_graph("petersen", 5)
 
     def test_catalog(self):
-        catalog = named_catalog()
-        assert len(catalog["named"]) == 5
-        assert len(catalog["families"]) == 4
+        assert named_catalog() == {
+            "named": [
+                {"name": "petersen", "vertices": 10, "edges": 15},
+                {"name": "frucht", "vertices": 12, "edges": 18},
+                {"name": "grotzsch", "vertices": 11, "edges": 20},
+                {"name": "durer", "vertices": 12, "edges": 18},
+                {"name": "dodecahedron", "vertices": 20, "edges": 30},
+            ],
+            "families": [
+                {"name": "cycle", "parameter": "n >= 3"},
+                {"name": "path", "parameter": "n >= 2"},
+                {"name": "complete", "parameter": "n >= 2"},
+                {"name": "star", "parameter": "n >= 1 (n leaves, n + 1 vertices)"},
+            ],
+        }
 
 
 class TestBipartite:
@@ -192,6 +233,31 @@ class TestCycleDecomposition:
             seen.extend(tuple(sorted(e)) for e in zip(closed, closed[1:]))
         assert len(seen) == len(set(seen)) == g.m
         assert set(seen) == set(g.edges)
+
+    def test_complete_five_by_the_rule(self):
+        # from 0: 0-1-2 closes at 0; on from 0: 0-3-1-4 closes at 0; then from 2: 2-3-4
+        assert decompose_into_cycles(complete_graph(5)) == ((0, 1, 2), (0, 3, 1, 4), (2, 3, 4))
+
+    def test_butterfly_goes_on_from_the_closing_vertex(self):
+        # 0-1-2-3 closes at 1; the walk goes on from 1 to 4 and closes at 0
+        assert decompose_into_cycles(butterfly_at_one()) == ((1, 2, 3), (0, 1, 4))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_equals_the_restarting_walk_on_small_graphs(self, n):
+        count = 0
+        for g in all_graphs(n, connected=False):
+            if all(d % 2 == 0 for d in g.degrees()):
+                count += 1
+                assert decompose_into_cycles(g) == restart_cycle_decomposition(g), g.edges
+        # labeled even-degree graphs with no isolated vertex: inclusion-exclusion over
+        # the isolated ones, with 2^C(k-1, 2) even-degree graphs on k labeled vertices
+        assert count == {3: 1, 4: 3, 5: 38, 6: 730}[n]
+
+    def test_equals_the_restarting_walk_on_random_graphs(self):
+        rng = random.Random(1402)
+        for _ in range(300):
+            g = random_even_degree_graph(rng, rng.randrange(3, 33))
+            assert decompose_into_cycles(g) == restart_cycle_decomposition(g), g.edges
 
     def test_path_not_eulerian(self):
         with pytest.raises(NotEulerianError) as exc:

@@ -149,6 +149,13 @@ class TestOddCycleDecomposition:
         assert report.verdict == "not-applicable"
         assert "even" in report.witness["unmet_hypothesis"]
 
+    def test_lowest_odd_degree_vertex_is_named(self):
+        # a triangle with a pendant edge at 2: degrees 2, 2, 3, 1
+        report = check_odd_cycle_decomposition(build_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]))
+        assert report.verdict == "not-applicable"
+        assert report.witness == {"unmet_hypothesis": "every vertex degree is even", "odd_degree_vertex": 2}
+        assert_report_self_contained(report)
+
 
 class TestMatchingLimit:
     # the matching solver takes at most 24 vertices; past that the two
