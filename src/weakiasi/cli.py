@@ -67,7 +67,11 @@ def _graph_source(parser) -> None:
     parser.add_argument("--param", metavar="N", type=int, help="Family parameter, e.g. cycle size.")
 
 
-_json_indent = _option("--json-indent", metavar="N", type=int, default=2, help="JSON indent; 0 for compact.")
+# the output grows with the indent: 10**9 would ask for some 10**11 bytes
+_MAX_JSON_INDENT = 16
+_json_indent = _option(
+    "--json-indent", metavar="N", type=int, default=2, help=f"JSON indent, at most {_MAX_JSON_INDENT}; 0 for compact."
+)
 
 
 class _Command:
@@ -134,6 +138,8 @@ class _Main:
         name = params.pop("command")
         if params.get("param") is not None and params.get("named") is None:
             subparsers[name].error("--param only applies to --named families")
+        if params.get("json_indent", 0) > _MAX_JSON_INDENT:
+            subparsers[name].error(f"--json-indent is at most {_MAX_JSON_INDENT}")
         return self.commands[name].callback(**params)
 
     def main(self, args=None, prog_name=None, standalone_mode=True):

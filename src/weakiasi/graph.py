@@ -119,15 +119,20 @@ def build_graph(
 ) -> Graph:
     """Validate and build a graph on vertices ``0..n-1``.
 
-    Edges are normalized to ``u < v``. Raises ``InvalidEdgeError`` on loops,
-    out-of-range ids, or duplicates after normalization, and
-    ``IsolatedVertexError`` if any vertex ends up with degree 0.
+    Edges are normalized to ``u < v``. Raises ``ValueError`` if ``n`` or an id
+    is not an ``int``, ``InvalidEdgeError`` on loops, out-of-range ids, or
+    duplicates, and ``IsolatedVertexError`` if any vertex ends up with degree 0.
     """
+    # type() rather than isinstance(): True and False are ints too
+    if type(n) is not int:
+        raise ValueError(f'vertex count "n" must be an integer, got {n!r}')
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     normalized: list[Edge] = []
     seen: set[Edge] = set()
     for u, v in edges:
+        if type(u) is not int or type(v) is not int:
+            raise ValueError(f"edge endpoints must be integers, got {[u, v]!r}")
         if not (0 <= u < n) or not (0 <= v < n):
             raise InvalidEdgeError(u, v, f"vertex id out of range 0..{n - 1}")
         if u == v:

@@ -62,12 +62,6 @@ def graph_from_json_dict(data: Mapping) -> Graph:
         edges = [(u, v) for u, v in data["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f'graph JSON needs "n" and "edges": {exc}') from None
-    # type() rather than isinstance(): JSON true/false decode to bool, a subclass of int
-    if type(n) is not int:
-        raise ValueError(f'graph JSON "n" must be an integer, got {n!r}')
-    for u, v in edges:
-        if type(u) is not int or type(v) is not int:
-            raise ValueError(f"graph JSON edge endpoints must be integers, got {[u, v]!r}")
     names = data.get("names")
     names = {} if names is None else names
     if not isinstance(names, Mapping):

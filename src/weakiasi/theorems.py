@@ -56,10 +56,13 @@ def _report(theorem: str, inputs: Mapping, lhs: int, rhs: int, witness: Mapping)
 
 
 def _not_applicable(theorem: str, inputs: dict, hypothesis: str, extra: dict | None = None) -> TheoremReport:
-    witness = {"unmet_hypothesis": hypothesis}
-    if extra:
-        witness.update(extra)
+    witness = {"unmet_hypothesis": hypothesis, **(extra or {})}
     return TheoremReport(theorem, inputs, None, None, NOT_APPLICABLE, witness)
+
+
+def _over_limit(theorem: str, inputs: dict, exc: TooLargeError) -> TheoremReport:
+    """The report of a checker whose solver refused the graph as too large."""
+    return _not_applicable(theorem, inputs, f"{exc.what} limit (n <= {exc.limit})")
 
 
 def check_chromatic_class_formula(graph: Graph) -> TheoremReport:
@@ -69,16 +72,15 @@ def check_chromatic_class_formula(graph: Graph) -> TheoremReport:
     descending with ties broken by smallest class index.
     """
     chi, classes = chromatic_number(graph)
-    order = sorted(range(chi), key=lambda c: (-len(classes[c]), c))
-    keep = set(order[:2])
-    rhs = sum(len(classes[c]) for c in range(chi) if c not in keep)
+    by_size = sorted(classes, key=len, reverse=True)  # stable: ties keep class order
+    sizes = [len(c) for c in by_size]
     lhs = sparing_number_exact(graph).phi
     witness = {
         "chromatic_number": chi,
-        "class_sizes_desc": [len(classes[c]) for c in order],
-        "largest_classes": [sorted(classes[c]) for c in order[:2]],
+        "class_sizes_desc": sizes,
+        "largest_classes": [sorted(c) for c in by_size[:2]],
     }
-    return _report("chromatic-class-formula", _describe(graph), lhs, rhs, witness)
+    return _report("chromatic-class-formula", _describe(graph), lhs, sum(sizes[2:]), witness)
 
 
 def check_chi_phi_gap(graph: Graph) -> TheoremReport:
@@ -101,7 +103,7 @@ def check_matching_formula(graph: Graph) -> TheoremReport:
     try:
         nu = matching_number(graph)
     except TooLargeError as exc:
-        return _not_applicable("matching-formula", inputs, f"matching solver limit (n <= {exc.limit})")
+        return _over_limit("matching-formula", inputs, exc)
     lhs = sparing_number_exact(graph).phi
     rhs = (graph.n + 1) // 2 - nu
     witness = {"matching_number": nu, "half_ceiling": (graph.n + 1) // 2}
@@ -115,9 +117,10 @@ def check_union_formula(
 
     ``shared`` injectively maps G2 vertex ids onto G1 vertex ids; unmapped G2
     vertices get fresh ids above G1's range (in ascending G2 order). The
-    intersection consists of the edges present in both graphs after gluing;
-    shared vertices touching no shared edge contribute nothing by the
-    convention phi(edgeless) = 0, which is noted in the witness.
+    intersection consists of the edges present in both graphs after gluing,
+    on the vertices they touch; shared vertices touching no shared edge are
+    left out of it and listed in the witness, and with no shared edge the
+    intersection is the empty graph, whose phi is 0.
     """
     shared = dict(shared or {})
     for a, b in shared.items():
@@ -130,34 +133,19 @@ def check_union_formula(
     if len(set(shared.values())) != len(shared):
         raise ValueError("shared map must be injective")
 
-    mapping: dict[int, int] = {}
-    fresh = g1.n
-    for v in range(g2.n):
-        if v in shared:
-            mapping[v] = shared[v]
-        else:
-            mapping[v] = fresh
-            fresh += 1
-    g2_edges = {tuple(sorted((mapping[u], mapping[v]))) for u, v in g2.edges}
-    union_edges = set(g1.edges) | g2_edges
-    union = build_graph(fresh, sorted(union_edges))
+    fresh = iter(range(g1.n, g1.n + g2.n))
+    ids = [shared[v] if v in shared else next(fresh) for v in range(g2.n)]
+    g2_edges = {tuple(sorted((ids[u], ids[v]))) for u, v in g2.edges}
+    union = build_graph(g1.n + g2.n - len(shared), sorted(set(g1.edges) | g2_edges))
     intersection_edges = sorted(set(g1.edges) & g2_edges)
+    touched = sorted({v for e in intersection_edges for v in e})
+    remap = {v: i for i, v in enumerate(touched)}
+    inter = build_graph(len(touched), [(remap[u], remap[v]) for u, v in intersection_edges])
 
     phi_union = sparing_number_exact(union).phi
     phi_1 = sparing_number_exact(g1).phi
     phi_2 = sparing_number_exact(g2).phi
-    if intersection_edges:
-        vertices = sorted({v for e in intersection_edges for v in e})
-        remap = {v: i for i, v in enumerate(vertices)}
-        inter = build_graph(len(vertices), [(remap[u], remap[v]) for u, v in intersection_edges])
-        phi_inter = sparing_number_exact(inter).phi
-    else:
-        phi_inter = 0
-
-    touched = {v for e in intersection_edges for v in e}
-    isolated_shared = sorted(set(shared.values()) - touched)
-    lhs = phi_union
-    rhs = phi_1 + phi_2 - phi_inter
+    phi_inter = sparing_number_exact(inter).phi
     witness = {
         "phi_union": phi_union,
         "phi_g1": phi_1,
@@ -165,10 +153,10 @@ def check_union_formula(
         "phi_intersection": phi_inter,
         "union": _describe(union),
         "intersection_edges": [list(e) for e in intersection_edges],
-        "isolated_shared_vertices": isolated_shared,
+        "isolated_shared_vertices": sorted(set(shared.values()).difference(touched)),
     }
     inputs = {"g1": _describe(g1), "g2": _describe(g2), "shared_vertices": len(shared)}
-    return _report("union-additivity", inputs, lhs, rhs, witness)
+    return _report("union-additivity", inputs, phi_union, phi_1 + phi_2 - phi_inter, witness)
 
 
 def check_odd_cycle_decomposition(graph: Graph) -> TheoremReport:
@@ -192,9 +180,7 @@ def check_odd_cycle_decomposition(graph: Graph) -> TheoremReport:
             {"odd_degree_vertex": exc.vertex},
         )
     except TooLargeError as exc:
-        return _not_applicable(
-            "odd-cycle-decomposition", inputs, f"matching solver limit (n <= {exc.limit})"
-        )
+        return _over_limit("odd-cycle-decomposition", inputs, exc)
     sizes = [len(c) for c in cycles]
     cycle_nus = [s // 2 for s in sizes]
     witness = {

@@ -119,6 +119,14 @@ class TestSparingCommand:
         assert result.exit_code == 0
         assert len(result.stdout.strip().splitlines()) == 1
 
+    def test_json_indent_at_most_sixteen(self):
+        lines = run_cli("sparing", "--named", "cycle", "--param", "4", "--json-indent", "16").stdout.splitlines()
+        assert lines[1].startswith(" " * 16 + '"') and not lines[1].startswith(" " * 17)
+        # a negative indent stays compact
+        result = run_cli("sparing", "--named", "cycle", "--param", "4", "--json-indent", "-5")
+        assert result.exit_code == 0
+        assert len(result.stdout.strip().splitlines()) == 1
+
     def test_requires_exactly_one_source(self):
         assert run_cli("sparing").exit_code != 0
         assert run_cli("sparing", "--named", "petersen", "--graph", "x").exit_code != 0
@@ -233,6 +241,19 @@ class TestUsage:
         result = run_cli("sparing", "--graph", str(path), "--param", "4")
         assert result.exit_code == 2
         assert "--param only applies to --named families" in result.stderr
+
+    def test_json_indent_above_sixteen_is_a_usage_error(self, monkeypatch):
+        # at 10**9 the report would take some 10**11 bytes, so no command may run
+        def no_run(**params):
+            raise AssertionError("command ran")
+
+        for command in main.commands.values():
+            monkeypatch.setattr(command, "callback", no_run)
+        for args in (["named"], ["sparing", "--named", "petersen"], ["check-theorems", "--named", "petersen"]):
+            for indent in ("17", "1000000000"):
+                result = run_cli(*args, "--json-indent", indent)
+                assert (result.exit_code, result.stdout) == (2, ""), args
+                assert "--json-indent is at most 16" in result.stderr
 
     def test_missing_command_is_a_usage_error(self):
         assert run_cli().exit_code == 2

@@ -87,10 +87,30 @@ class TestBuildGraph:
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidEdgeError):
             build_graph(3, [(0, 3), (1, 2)])
+        with pytest.raises(InvalidEdgeError):
+            build_graph(3, [(-1, 1), (0, 2)])
 
     def test_duplicate_after_normalization_rejected(self):
         with pytest.raises(InvalidEdgeError):
             build_graph(2, [(0, 1), (1, 0)])
+
+    @pytest.mark.parametrize("vertex", [True, 1.0, 1.5, "1"])
+    def test_non_int_vertex_id_rejected(self, vertex):
+        # True == 1 and 1.0 == 1, so only the type tells them from a valid id
+        for edges in ([(vertex, 2), (0, 1)], [(0, 1), (2, vertex)]):
+            with pytest.raises(ValueError, match="endpoints must be integers"):
+                build_graph(3, edges)
+
+    @pytest.mark.parametrize("n", [3.0, True, "3"])
+    def test_non_int_vertex_count_rejected(self, n):
+        with pytest.raises(ValueError, match='"n" must be an integer'):
+            build_graph(n, [(0, 1)])
+
+    def test_first_bad_edge_is_reported(self):
+        with pytest.raises(InvalidEdgeError):
+            build_graph(3, [(0, 5), (True, 2)])
+        with pytest.raises(ValueError, match="endpoints must be integers"):
+            build_graph(3, [(True, 2), (0, 5)])
 
     def test_adjacency_matches_edges(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from weakiasi import (
     build_graph,
+    chromatic_number,
     complete_graph,
     cycle_graph,
     named_graph,
@@ -19,7 +22,13 @@ from weakiasi.theorems import (
     run_all_checkers,
 )
 
-from helpers import bowtie, brute_min_mono, two_squares_sharing_vertex
+from helpers import (
+    all_graphs,
+    bowtie,
+    brute_min_mono,
+    random_connected_graph,
+    two_squares_sharing_vertex,
+)
 
 
 def assert_report_self_contained(report):
@@ -44,6 +53,16 @@ class TestChromaticClassFormula:
         # four singleton classes: claimed value 2, actual value 3
         report = check_chromatic_class_formula(complete_graph(4))
         assert (report.lhs, report.rhs, report.verdict) == (3, 2, "fails")
+
+    def test_classes_ordered_by_size_then_index(self):
+        # the spec: classes by size descending, ties to the smaller class index
+        for g in (g for n in range(2, 7) for g in all_graphs(n, connected=True)):
+            chi, classes = chromatic_number(g)
+            order = sorted(range(chi), key=lambda c: (-len(classes[c]), c))
+            report = check_chromatic_class_formula(g)
+            assert report.witness["class_sizes_desc"] == [len(classes[c]) for c in order], g.edges
+            assert report.witness["largest_classes"] == [list(classes[c]) for c in order[:2]], g.edges
+            assert report.rhs == sum(len(classes[c]) for c in order[2:]), g.edges
 
 
 class TestChiPhiGap:
@@ -109,6 +128,50 @@ class TestUnionFormula:
         report = check_union_formula(cycle_graph(3), cycle_graph(3), shared={0: 0})
         assert (report.lhs, report.rhs, report.verdict) == (2, 2, "holds")
         assert report.witness["isolated_shared_vertices"] == [0]
+
+    @staticmethod
+    def glue(g1, g2, shared):
+        """(union, intersection, the intersection's vertices and edges in union ids), from edge lists.
+
+        G2's unshared vertices take the ids after G1's, in G2's order; the
+        intersection is renumbered onto the vertices its edges touch.
+        """
+        unshared = [v for v in range(g2.n) if v not in shared]
+        ids = {**shared, **{v: g1.n + i for i, v in enumerate(unshared)}}
+        first = {frozenset(e) for e in g1.edges}
+        second = {frozenset((ids[u], ids[v])) for u, v in g2.edges}
+        union = build_graph(g1.n + len(unshared), [tuple(e) for e in first | second])
+        common = first & second
+        touched = sorted(set().union(*common))
+        inter = build_graph(len(touched), [tuple(touched.index(v) for v in e) for e in common])
+        return union, inter, touched, sorted(tuple(sorted(e)) for e in common)
+
+    def test_random_pairs_against_brute_force(self):
+        rng = random.Random(2302)
+        pairs = [
+            (path_graph(3), path_graph(3), {0: 0}),  # a shared vertex, no shared edge
+            (cycle_graph(4), cycle_graph(3), {}),  # nothing shared
+        ]
+        for _ in range(200):
+            g1 = random_connected_graph(rng, rng.randint(2, 5))
+            g2 = random_connected_graph(rng, rng.randint(2, 5))
+            k = rng.randint(0, min(g1.n, g2.n))
+            pairs.append((g1, g2, dict(zip(rng.sample(range(g2.n), k), rng.sample(range(g1.n), k)))))
+        kinds = set()
+        for g1, g2, shared in pairs:
+            union, inter, touched, common = self.glue(g1, g2, shared)
+            kinds.add((bool(shared), bool(common)))
+            report = check_union_formula(g1, g2, shared)
+            w = report.witness
+            expected = (brute_min_mono(union), brute_min_mono(g1), brute_min_mono(g2), brute_min_mono(inter))
+            assert (w["phi_union"], w["phi_g1"], w["phi_g2"], w["phi_intersection"]) == expected, shared
+            assert w["union"] == {"n": union.n, "m": union.m}
+            assert w["intersection_edges"] == [list(e) for e in common]
+            assert w["isolated_shared_vertices"] == sorted(set(shared.values()) - set(touched))
+            assert (report.lhs, report.rhs) == (expected[0], expected[1] + expected[2] - expected[3])
+            assert_report_self_contained(report)
+        # nothing shared, shared vertices but no shared edge, and shared edges
+        assert kinds == {(False, False), (True, False), (True, True)}
 
     def test_invalid_shared_maps(self):
         with pytest.raises(ValueError):
