@@ -8,7 +8,7 @@ reader of stdout has gone; 2 on a usage error, such as a ``--graph`` or
 ``main`` is an object so that perfbench can drive and trace it in-process:
 ``main.commands[name].callback`` is looked up at each dispatch, and
 ``main.main(args, prog_name, standalone_mode=False)`` raises every failure,
-usage errors included, instead of exiting.
+usage errors included. Each command line builds one parser and keeps none.
 """
 
 from __future__ import annotations
@@ -84,14 +84,11 @@ class _Command:
 
 
 class _Main:
-    """The ``weakiasi`` program: subcommands by name and one dispatch."""
+    """The ``weakiasi`` program: subcommands by name, and one dispatch that builds one parser per command line."""
 
     def __init__(self, description: str):
         self.description = description
         self.commands: dict[str, _Command] = {}
-        # by program name: an in-process caller runs many command lines, and
-        # a parser rebuilt for each leaves thousands of objects to collect
-        self._parsers: dict[str, tuple[_Parser, dict]] = {}
 
     def command(self, name: str, *options):
         def register(fn):
@@ -100,47 +97,42 @@ class _Main:
 
         return register
 
-    def _parser(self, prog: str) -> tuple[_Parser, dict]:
-        if prog not in self._parsers:
+    def _run(self, args, prog: str):
+        args = sys.argv[1:] if args is None else list(args)
+        command = self.commands.get(args[0]) if args else None
+        if command is None:
             parser = _Parser(prog=prog, description=self.description, allow_abbrev=False)
             parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
-            subparsers = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-            for name, command in self.commands.items():
-                sub = subparsers.add_parser(name, help=command.help, description=command.help, allow_abbrev=False)
-                for add in command.options:
-                    add(sub)
-            self._parsers[prog] = parser, subparsers.choices
-        return self._parsers[prog]
-
-    def _run(self, args, prog: str):
-        parser, subparsers = self._parser(prog)
+            subparsers = parser.add_subparsers(required=True, metavar="COMMAND")
+            for name, stub in self.commands.items():
+                subparsers.add_parser(name, help=stub.help)
+            parser.parse_args(args)  # prints the help or the version, or refuses the line
+            parser.error("the command must come first")
+        parser = _Parser(prog=f"{prog} {args[0]}", description=command.help, allow_abbrev=False)
+        for add in command.options:
+            add(parser)
         try:
-            params = vars(parser.parse_args(args))
+            params = vars(parser.parse_args(args[1:]))
         except UsageError:
             # argparse reports a missing required option before an unknown one:
             # look for unknown ones with nothing required, so they are named first
-            lifted = [
-                item for sub in subparsers.values()
-                for item in (*sub._actions, *sub._mutually_exclusive_groups) if item.required
-            ]
+            lifted = [item for item in (*parser._actions, *parser._mutually_exclusive_groups) if item.required]
             for item in lifted:
                 item.required = False
             try:
-                unknown = parser.parse_known_args(args)[1]
+                unknown = parser.parse_known_args(args[1:])[1]
             except UsageError:
                 unknown = []
-            finally:
-                for item in lifted:
-                    item.required = True
+            for item in lifted:  # required again in the usage line
+                item.required = True
             if unknown:
                 parser.error(f"unrecognized arguments: {' '.join(unknown)}")
             raise
-        name = params.pop("command")
         if params.get("param") is not None and params.get("named") is None:
-            subparsers[name].error("--param only applies to --named families")
+            parser.error("--param only applies to --named families")
         if params.get("json_indent", 0) > _MAX_JSON_INDENT:
-            subparsers[name].error(f"--json-indent is at most {_MAX_JSON_INDENT}")
-        return self.commands[name].callback(**params)
+            parser.error(f"--json-indent is at most {_MAX_JSON_INDENT}")
+        return command.callback(**params)
 
     def main(self, args=None, prog_name=None, standalone_mode=True):
         """Run one command line (``args`` defaults to ``sys.argv[1:]``).

@@ -16,19 +16,19 @@ search. It returns an immutable answer: a vertex mask
 Components share no vertex, so the masks of a union add up.
 
 Each graph is solved once. Every answer is a function of ``graph.adj`` (n and
-the sorted edges follow from it), so a private store keyed by ``adj`` keeps
-the answers of the last distinct graph only: its component masks and, for
-each ``_per_component(graph, kernel, *args)`` call, the tuple of the kernel's
-answers per component. The public functions check their limit before the
-lookup, so a ``TooLargeError`` is raised on every call and never stored, and
-build their results from the stored answers on every call, so no caller gets
-another's mutable labeling. A new graph replaces the store as one ``(adj,
-answers)`` tuple, so a concurrent caller never reads another graph's answer.
+the sorted edges follow from it), so ``_per_component(graph, kernel, *args)``
+keeps the answers of the last distinct graph only, in a private store keyed
+by ``adj``: its component masks and, for each kernel and ``args``, the tuple
+of the kernel's answers per component. The public functions check their
+limit before the lookup, so a ``TooLargeError`` is raised on every call and
+never stored, and build their results from the stored answers on every call,
+so no caller gets another's mutable labeling. A new graph replaces the store
+as one ``(adj, answers)`` tuple, so a concurrent caller never reads another
+graph's answer.
 """
 
 from __future__ import annotations
 
-from functools import wraps
 from typing import NamedTuple
 
 from .errors import TooLargeError
@@ -39,40 +39,24 @@ SOLVER_VERTEX_LIMIT = 32
 MATCHING_VERTEX_LIMIT = 24
 
 
-# the last graph solved: its adj, and the answers of the helpers decorated
-# with _per_graph keyed by (helper, *args)
+# the last graph solved: its adj, and its answers, the component masks under
+# None and each kernel's answers per component under (kernel, *args)
 _solved: tuple[tuple[int, ...], dict] = ((), {})
 
 
-def _per_graph(helper):
-    """``helper(graph, *args)``, which returns an immutable value, run once per graph."""
-
-    @wraps(helper)
-    def once(graph: Graph, *args):
-        global _solved
-        adj, answers = _solved
-        if adj != graph.adj:
-            adj, answers = graph.adj, {}
-            _solved = adj, answers
-        key = (helper, *args)
-        answer = answers.get(key)
-        if answer is None:
-            answer = answers[key] = helper(graph, *args)
-        return answer
-
-    return once
-
-
-@_per_graph
-def _component_masks(graph: Graph) -> tuple[int, ...]:
-    """Vertex mask of each connected component, ordered by smallest member."""
-    return tuple(sum(1 << v for v in members) for members in connected_components(graph))
-
-
-@_per_graph
 def _per_component(graph: Graph, kernel, *args) -> tuple:
-    """``kernel(graph, members, *args)`` of each component, in ``_component_masks`` order."""
-    return tuple(kernel(graph, members, *args) for members in _component_masks(graph))
+    """``kernel(graph, members, *args)`` of each component, ordered by smallest member, once per graph."""
+    global _solved
+    adj, answers = _solved
+    if adj != graph.adj:
+        masks = tuple(sum(1 << v for v in members) for members in connected_components(graph))
+        adj, answers = graph.adj, {None: masks}
+        _solved = adj, answers
+    key = (kernel, *args)
+    answer = answers.get(key)
+    if answer is None:
+        answer = answers[key] = tuple(kernel(graph, members, *args) for members in answers[None])
+    return answer
 
 
 def _require(graph: Graph, limit: int, what: str) -> None:

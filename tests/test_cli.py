@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -11,7 +12,7 @@ from typing import NamedTuple
 import pytest
 
 import weakiasi.graph
-from weakiasi import named_graph
+from weakiasi import cli, named_graph
 from weakiasi.cli import UsageError, main
 from weakiasi.io import dump_edge_list, dump_graph_json
 
@@ -234,6 +235,40 @@ class TestUsage:
         assert result.exit_code == 2
         assert "(--named NAME | --graph FILE)" in result.stderr
         assert "one of the arguments --named --graph is required" in result.stderr
+        # the unknown option comes with the command's usage line, the required group still required
+        usage = result.stderr[: result.stderr.index("weakiasi sparing: error:")]
+        assert usage.startswith("usage: weakiasi sparing [-h] (--named NAME | --graph FILE) ")
+        unknown = run_cli("sparing", "--nam", "petersen").stderr
+        assert unknown == f"{usage}weakiasi sparing: error: unrecognized arguments: --nam petersen\n"
+
+    def test_a_command_line_that_names_a_command_builds_one_parser(self, monkeypatch):
+        built = []
+
+        class Counted(cli._Parser):
+            def __init__(self, **kwargs):
+                built.append(kwargs["prog"])
+                super().__init__(**kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", Counted)
+        for args in (
+            ("named", "--json-indent", "0"),
+            ("sparing", "--named", "petersen"),
+            ("sparing", "--nam", "petersen"),
+            ("verify", "--grap", "g.json"),
+            ("check-theorems", "--named", "petersen", "--json-indent", "17"),
+        ):
+            built.clear()
+            run_cli(*args)
+            assert built == [f"weakiasi {args[0]}"], args
+
+    def test_help_lists_every_command_with_its_help(self):
+        for flag in ("--help", "-h"):
+            result = run_cli(flag)
+            assert (result.exit_code, result.stderr) == (0, ""), flag
+            listed = " ".join(result.stdout.split())
+            assert listed.startswith("usage: weakiasi [-h] [--version] COMMAND ..."), flag
+            for name, command in main.commands.items():
+                assert f" {name} {command.help}" in listed, (flag, name)
 
     def test_param_with_graph_file_is_a_usage_error(self, tmp_path):
         path = tmp_path / "c4.txt"
@@ -255,9 +290,18 @@ class TestUsage:
                 assert (result.exit_code, result.stdout) == (2, ""), args
                 assert "--json-indent is at most 16" in result.stderr
 
-    def test_missing_command_is_a_usage_error(self):
-        assert run_cli().exit_code == 2
-        assert run_cli("cover").exit_code == 2
+    def test_missing_command_is_a_usage_error(self, monkeypatch):
+        for args in ((), ("cover",), ("--", "named")):
+            result = run_cli(*args)
+            assert (result.exit_code, result.stdout) == (2, ""), args
+            assert isinstance(result.exception, SystemExit), args
+            assert result.stderr.startswith("usage: weakiasi [-h] [--version] COMMAND ...\n"), args
+            assert "Traceback" not in result.stderr, args
+        # a line that does not start with a command runs none, even where argparse takes `-- named` for one
+        monkeypatch.setattr(cli._Parser, "parse_args", lambda self, args=None: argparse.Namespace())
+        result = run_cli("--", "named")
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.endswith("weakiasi: error: the command must come first\n")
 
     def test_in_process_failures_raise_exceptions_not_system_exit(self, tmp_path):
         bad_lines = (
