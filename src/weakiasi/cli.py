@@ -106,7 +106,8 @@ class _Main:
             subparsers = parser.add_subparsers(required=True, metavar="COMMAND")
             for name, stub in self.commands.items():
                 subparsers.add_parser(name, help=stub.help)
-            parser.parse_args(args)  # prints the help or the version, or refuses the line
+            # prints the help or the version, or refuses the line up to its first command: the stubs know no options
+            parser.parse_args(args[: next((i + 1 for i, word in enumerate(args) if word in self.commands), None)])
             parser.error("the command must come first")
         parser = _Parser(prog=f"{prog} {args[0]}", description=command.help, allow_abbrev=False)
         for add in command.options:
@@ -114,8 +115,7 @@ class _Main:
         try:
             params = vars(parser.parse_args(args[1:]))
         except UsageError:
-            # argparse reports a missing required option before an unknown one:
-            # look for unknown ones with nothing required, so they are named first
+            # argparse names a missing required option before an unknown one: look again with none required
             lifted = [item for item in (*parser._actions, *parser._mutually_exclusive_groups) if item.required]
             for item in lifted:
                 item.required = False

@@ -48,7 +48,7 @@ def _per_component(graph: Graph, kernel, *args) -> tuple:
     """``kernel(graph, members, *args)`` of each component, ordered by smallest member, once per graph."""
     global _solved
     adj, answers = _solved
-    if adj != graph.adj:
+    if adj != graph.adj or None not in answers:  # an emptied store has the empty graph's adj
         masks = tuple(sum(1 << v for v in members) for members in connected_components(graph))
         adj, answers = graph.adj, {None: masks}
         _solved = adj, answers

@@ -90,6 +90,14 @@ class TestSparingCommand:
         assert report["input"] == "cycle(5)"
         assert result.stderr.startswith("cycle(5): phi=1 ")
 
+    def test_empty_graph_file(self, tmp_path):
+        # the first solver call of the run, on an emptied store
+        path = tmp_path / "empty.txt"
+        path.write_text("0 0\n")
+        result = run_cli("sparing", "--graph", str(path))
+        assert (result.exit_code, result.stderr) == (0, "empty.txt: phi=0 bipartization=0 mismatch=false\n")
+        assert payload(result)["results"]["phi"] == 0
+
     def test_durer_mismatch_flagged(self):
         result = run_cli("sparing", "--named", " durer")
         report = payload(result)
@@ -240,6 +248,19 @@ class TestUsage:
         assert usage.startswith("usage: weakiasi sparing [-h] (--named NAME | --graph FILE) ")
         unknown = run_cli("sparing", "--nam", "petersen").stderr
         assert unknown == f"{usage}weakiasi sparing: error: unrecognized arguments: --nam petersen\n"
+
+    def test_words_before_a_misplaced_command_are_the_unrecognized_ones(self):
+        # the words after the command are not read, valid or not
+        top = "usage: weakiasi [-h] [--version] COMMAND ...\n"
+        for args, unknown in (
+            (("-x", "sparing", "--named", "petersen"), "-x"),
+            (("-x", "sparing", "--nam", "petersen"), "-x"),
+            (("-x", "sparing", "-h"), "-x"),
+            (("-x", "-y", "named"), "-x -y"),
+        ):
+            result = run_cli(*args)
+            assert (result.exit_code, result.stdout) == (2, ""), args
+            assert result.stderr == f"{top}weakiasi: error: unrecognized arguments: {unknown}\n", args
 
     def test_a_command_line_that_names_a_command_builds_one_parser(self, monkeypatch):
         built = []

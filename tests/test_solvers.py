@@ -709,6 +709,16 @@ def test_store_holds_only_immutable_answers(monkeypatch):
         hash(answer)
 
 
+def test_empty_graph_is_solved_from_an_emptied_store(monkeypatch):
+    # the empty graph has the emptied store's adj, (), and no component
+    g = build_graph(0, [])
+    monkeypatch.setattr(solvers, "_solved", ((), {}))
+    assert sparing_number_exact(g)[:3] == (0, (), ())
+    monkeypatch.setattr(solvers, "_solved", ((), {}))
+    assert max_bipartite_subgraph(g) == (0, (), ((), ()))
+    assert solvers._solved == ((), {None: (), (solvers._max_cut_side,): ()})
+
+
 def test_threads_sharing_the_store_get_their_own_graphs_answers():
     # four threads on two cores, switching every microsecond, each alternating
     # between two graphs of 10 vertices; a thread that read the other graph's

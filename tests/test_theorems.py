@@ -107,6 +107,10 @@ class TestUnionFormula:
         assert (report.lhs, report.rhs, report.verdict) == (2, 2, "holds")
         assert report.witness["phi_intersection"] == 0
 
+    def test_empty_graphs(self):
+        report = check_union_formula(build_graph(0, []), build_graph(0, []))
+        assert (report.lhs, report.rhs, report.verdict) == (0, 0, "holds")
+
     def test_identical_graphs(self):
         shared = {i: i for i in range(5)}
         report = check_union_formula(cycle_graph(5), cycle_graph(5), shared=shared)
