@@ -28,8 +28,6 @@ from .graph import (
     connected_components,
     cycle_graph,
     decompose_into_cycles,
-    is_cycle_graph,
-    is_path_graph,
     named_catalog,
     named_graph,
     path_graph,
@@ -79,8 +77,6 @@ __all__ = [
     "cycle_graph",
     "decompose_into_cycles",
     "independence_number",
-    "is_cycle_graph",
-    "is_path_graph",
     "make_label",
     "matching_number",
     "max_bipartite_subgraph",

@@ -1,9 +1,10 @@
 """Immutable simple graphs with bit-vector adjacency and a canonical named-graph corpus.
 
-Vertex ids are dense integers ``0..n-1``; an optional name map attaches
-human-readable aliases for reports. Every graph is validated on construction
-(no loops, no parallel edges, no isolated vertices) and never mutated
-afterwards, so instances are safe to share between callers.
+Vertex ids are dense integers ``0..n-1``; an optional name map, ``names``,
+attaches aliases for reports. Every graph is validated on construction (no
+loops, no parallel edges, no isolated vertices) and never mutated afterwards,
+so instances are safe to share. The module also finds components and cycle
+decompositions; the relation checkers test their own hypotheses.
 
 ``Graph`` and the package's other records are ``NamedTuple`` classes, cheap to
 define at import, and so also tuples: iterable, indexable, equal to a tuple.
@@ -65,17 +66,11 @@ class Graph(NamedTuple):
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(a.bit_count() for a in self.adj)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
-
-    def name_of(self, v: int) -> str:
-        return self.names.get(v, str(v))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -268,7 +263,7 @@ def named_catalog() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Structural predicates and decompositions
+# Decompositions and degree statistics
 # ---------------------------------------------------------------------------
 
 
@@ -333,21 +328,6 @@ def connected_components(graph: Graph) -> tuple[tuple[int, ...], ...]:
         left &= ~reached
         components.append(tuple(_bits(reached)))
     return tuple(components)
-
-
-def is_cycle_graph(graph: Graph) -> bool:
-    return (
-        graph.n >= 3
-        and len(connected_components(graph)) == 1
-        and all(d == 2 for d in graph.degrees())
-    )
-
-
-def is_path_graph(graph: Graph) -> bool:
-    if graph.n < 2 or len(connected_components(graph)) != 1:
-        return False
-    degs = sorted(graph.degrees())
-    return degs[:2] == [1, 1] and all(d == 2 for d in degs[2:])
 
 
 def degree_stats(graph: Graph) -> dict:

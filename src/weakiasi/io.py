@@ -47,13 +47,6 @@ def dump_edge_list(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_to_json_dict(graph: Graph) -> dict:
-    out: dict = {"n": graph.n, "edges": [list(e) for e in graph.edges]}
-    if graph.names:
-        out["names"] = {str(v): graph.names[v] for v in sorted(graph.names)}
-    return out
-
-
 def graph_from_json_dict(data: Mapping) -> Graph:
     if not isinstance(data, Mapping):
         raise ValueError("graph JSON must be an object")
@@ -74,7 +67,10 @@ def graph_from_json_dict(data: Mapping) -> Graph:
 
 def dump_graph_json(graph: Graph) -> str:
     """Canonical single-line JSON: sorted keys, edges sorted with u < v."""
-    return json.dumps(graph_to_json_dict(graph), sort_keys=True)
+    out: dict = {"n": graph.n, "edges": [list(e) for e in graph.edges]}
+    if graph.names:
+        out["names"] = {str(v): graph.names[v] for v in sorted(graph.names)}
+    return json.dumps(out, sort_keys=True)
 
 
 def _unique_keys(pairs: list) -> dict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import MissingLabelError, NotIndependentError, NotWeakError
+from .errors import MissingLabelError, NotIndependentError, NotWeakError, TooLargeError
 from .graph import Edge, Graph, _to_json, by_vertex_id
 
 Label = tuple[int, ...]
@@ -62,13 +62,11 @@ class IasiLabeling(_LabelingFields):
         normalized = {v: make_label(lbl) for v, lbl in by_vertex_id(vertex_labels, "label").items()}
         return super().__new__(cls, normalized)
 
-    # the named tuple's own _make and _replace would skip the checks in __new__
+    # the named tuple's own _make would skip the checks in __new__; its _replace calls this
+    # one, so it normalizes too (an unknown field raises its ValueError, TypeError from 3.13)
     @classmethod
     def _make(cls, iterable) -> IasiLabeling:
         return cls(*iterable)
-
-    def _replace(self, **changes) -> IasiLabeling:
-        return type(self)(**{**self._asdict(), **changes})
 
     def label(self, v: int) -> Label:
         try:
@@ -181,8 +179,11 @@ def spread_values(count: int) -> tuple[int, ...]:
 
     Distinct sums over distinct pairs make every vertex label and every edge
     sumset distinct by construction, so labelings built from these values are
-    injective without retries while keeping the integers small.
+    injective without retries while keeping the integers small. Raises
+    ``TooLargeError`` for more than 128 values.
     """
+    if count > 128:  # the search grows about as count**3.5; the solvers stop at 32 vertices
+        raise TooLargeError("labeling construction", count, 128)
     values: list[int] = []
     sums: set[int] = set()
     candidate = 0

@@ -92,10 +92,13 @@ def sparing_number_exact(graph: Graph) -> SparingCertificate:
     set, and every independent set is realizable, so the optimum is the
     minimum over independent sets I of the edge count of G[V - I]: m less
     the sum of deg(v) over I. ``_max_weight_independent`` with weight deg(v)
-    finds the lexicographically smallest optimal I in each component.
+    finds the lexicographically smallest optimal I in each component; on a
+    regular graph unit weights give the same walk, which alpha stores too.
     """
     _require(graph, SOLVER_VERTEX_LIMIT, "sparing solver")
-    independent = tuple(_bits(sum(_per_component(graph, _max_weight_independent, graph.degrees()))))
+    degrees = graph.degrees()
+    weight = degrees if len(set(degrees)) > 1 else (1,) * graph.n
+    independent = tuple(_bits(sum(_per_component(graph, _max_weight_independent, weight))))
     inside = set(independent)
     mono = tuple(e for e in graph.edges if e[0] not in inside and e[1] not in inside)
     labeling = construct_labeling(graph, independent)

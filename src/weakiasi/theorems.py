@@ -3,7 +3,8 @@
 Every checker returns a ``TheoremReport`` whose verdict is recomputable from
 its embedded lhs/rhs values; a checker whose hypothesis is unmet returns
 "not-applicable" with the unmet hypothesis named, never "fails". A failing
-relation is data, not an error.
+relation is data, not an error. Each checker tests its own hypothesis, as
+``_path_or_cycle`` does for the two relations stated on paths and cycles.
 """
 
 from __future__ import annotations
@@ -11,14 +12,7 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple
 
 from .errors import NotEulerianError, TooLargeError
-from .graph import (
-    Graph,
-    _to_json,
-    build_graph,
-    decompose_into_cycles,
-    is_cycle_graph,
-    is_path_graph,
-)
+from .graph import Graph, _to_json, build_graph, connected_components, decompose_into_cycles
 from .labeling import construct_labeling
 from .solvers import (
     chromatic_number,
@@ -65,6 +59,12 @@ def _over_limit(theorem: str, inputs: dict, exc: TooLargeError) -> TheoremReport
     return _not_applicable(theorem, inputs, f"{exc.what} limit (n <= {exc.limit})")
 
 
+def _path_or_cycle(graph: Graph) -> bool:
+    """One component with degrees 1, 1, 2, ..., 2 (a path) or 2, ..., 2 (a cycle)."""
+    degrees = sorted(graph.degrees())
+    return degrees[:2] in ([1, 1], [2, 2]) and set(degrees[2:]) <= {2} and len(connected_components(graph)) == 1
+
+
 def check_chromatic_class_formula(graph: Graph) -> TheoremReport:
     """Sparing number versus the vertex count outside the two largest color classes.
 
@@ -86,28 +86,25 @@ def check_chromatic_class_formula(graph: Graph) -> TheoremReport:
 def check_chi_phi_gap(graph: Graph) -> TheoremReport:
     """chi - phi = 2 on paths and cycles."""
     inputs = _describe(graph)
-    if not (is_path_graph(graph) or is_cycle_graph(graph)):
+    if not _path_or_cycle(graph):
         return _not_applicable("chi-phi-gap", inputs, "graph is a path or a cycle")
     chi, _ = chromatic_number(graph)
     phi = sparing_number_exact(graph).phi
-    lhs = chi - phi
-    witness = {"chromatic_number": chi, "phi": phi}
-    return _report("chi-phi-gap", inputs, lhs, 2, witness)
+    return _report("chi-phi-gap", inputs, chi - phi, 2, {"chromatic_number": chi, "phi": phi})
 
 
 def check_matching_formula(graph: Graph) -> TheoremReport:
     """phi = ceil(n/2) - nu on paths and cycles (reported as computed)."""
     inputs = _describe(graph)
-    if not (is_path_graph(graph) or is_cycle_graph(graph)):
+    if not _path_or_cycle(graph):
         return _not_applicable("matching-formula", inputs, "graph is a path or a cycle")
     try:
         nu = matching_number(graph)
     except TooLargeError as exc:
         return _over_limit("matching-formula", inputs, exc)
-    lhs = sparing_number_exact(graph).phi
-    rhs = (graph.n + 1) // 2 - nu
-    witness = {"matching_number": nu, "half_ceiling": (graph.n + 1) // 2}
-    return _report("matching-formula", inputs, lhs, rhs, witness)
+    half = (graph.n + 1) // 2
+    witness = {"matching_number": nu, "half_ceiling": half}
+    return _report("matching-formula", inputs, sparing_number_exact(graph).phi, half - nu, witness)
 
 
 def check_union_formula(

@@ -12,8 +12,6 @@ from weakiasi import (
     connected_components,
     cycle_graph,
     decompose_into_cycles,
-    is_cycle_graph,
-    is_path_graph,
     named_catalog,
     named_graph,
     path_graph,
@@ -112,6 +110,11 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="endpoints must be integers"):
             build_graph(3, [(True, 2), (0, 5)])
 
+    @pytest.mark.parametrize("vertex", [3, -1])
+    def test_name_of_a_vertex_outside_the_graph_rejected(self, vertex):
+        with pytest.raises(ValueError, match=f"^name refers to unknown vertex {vertex}$"):
+            build_graph(3, [(0, 1), (1, 2)], names={0: "a", vertex: "x"})
+
     def test_adjacency_matches_edges(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         for u in range(4):
@@ -159,8 +162,8 @@ class TestNamedGraphs:
 
     def test_vertex_aliases(self):
         g = named_graph("petersen")
-        assert g.name_of(0) == "u1"
-        assert g.name_of(5) == "v1"
+        assert g.names[0] == "u1"
+        assert g.names[5] == "v1"
 
     def test_unknown_name(self):
         with pytest.raises(UnknownNameError):
@@ -181,6 +184,14 @@ class TestNamedGraphs:
             named_graph("cycle")
         with pytest.raises(ValueError):
             named_graph("petersen", 5)
+
+    @pytest.mark.parametrize(
+        "build,size,message",
+        [(complete_graph, 1, r"^complete\(n\) requires n >= 2$"), (star_graph, 0, r"^star\(n\) requires n >= 1$")],
+    )
+    def test_family_below_its_smallest_size_rejected(self, build, size, message):
+        with pytest.raises(ValueError, match=message):
+            build(size)
 
     def test_catalog(self):
         assert named_catalog() == {
@@ -305,12 +316,3 @@ class TestStructure:
         with pytest.raises(IsolatedVertexError) as exc:
             build_graph(g.n, [e for e in g.edges if e != (0, 1)])
         assert exc.value.vertex == 0
-
-    def test_path_cycle_predicates(self):
-        assert is_path_graph(path_graph(2))
-        assert is_path_graph(path_graph(9))
-        assert not is_path_graph(cycle_graph(4))
-        assert is_cycle_graph(cycle_graph(3))
-        assert not is_cycle_graph(path_graph(4))
-        assert not is_path_graph(star_graph(3))
-        assert not is_cycle_graph(build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]))

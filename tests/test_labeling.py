@@ -9,12 +9,14 @@ from weakiasi import (
     MissingLabelError,
     NotIndependentError,
     NotWeakError,
+    TooLargeError,
     build_graph,
     complete_graph,
     construct_labeling,
     cycle_graph,
     make_label,
     mono_indexed_edges,
+    path_graph,
     pattern_labeling,
     spread_values,
     sumset,
@@ -242,3 +244,15 @@ def test_spread_values_have_distinct_pair_sums():
     sums = [values[i] + values[j] for i in range(32) for j in range(i + 1, 32)]
     assert len(sums) == len(set(sums))
     assert values == tuple(sorted(values))
+
+
+def test_spread_values_refuse_more_than_128_before_searching():
+    # the greedy search grows about as count**3.5, so 1000 values would take
+    # hours; the refusal comes first, with the count and the limit
+    assert len(spread_values(128)) == 128
+    with pytest.raises(TooLargeError) as exc:
+        spread_values(129)
+    assert (exc.value.n, exc.value.limit) == (129, 128)
+    for build in (construct_labeling, pattern_labeling):
+        with pytest.raises(TooLargeError, match="^labeling construction supports at most 128 vertices, got 1000$"):
+            build(path_graph(1000), [0])

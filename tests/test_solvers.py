@@ -499,7 +499,7 @@ def test_phi_on_forests_at_the_limit_matches_a_tree_dp():
         cert = sparing_number_exact(g)
         assert cert.phi == g.m - heaviest
         assert is_independent(g, cert.independent_set)
-        assert sum(g.degree(v) for v in cert.independent_set) == heaviest
+        assert sum(g.degrees()[v] for v in cert.independent_set) == heaviest
 
 
 def test_matching_witness_matches_exhaustive_search():
@@ -650,14 +650,14 @@ def kernel_runs(monkeypatch):
 
 def test_checkers_run_each_kernel_once_per_answer(kernel_runs):
     # the six checkers ask 13 solver calls of a cycle, for phi, alpha (twice
-    # more through beta), chi, nu and the maximum cut
+    # more through beta), chi, nu and the maximum cut; a cycle is regular, so
+    # phi walks with alpha's unit weights and takes alpha's answer
     reports = run_all_checkers(cycle_graph(9))
     assert [r.verdict for r in reports] == ["holds"] * 6
     every = (1 << 9) - 1
     assert sorted(kernel_runs, key=repr) == sorted(
         [
             ("connected_components", None, None),
-            ("_max_weight_independent", every, (2,) * 9),
             ("_max_weight_independent", every, (1,) * 9),
             ("_color_classes", every, None),
             ("_matching_component", every, None),
@@ -667,10 +667,30 @@ def test_checkers_run_each_kernel_once_per_answer(kernel_runs):
     )
 
 
+def test_checkers_walk_phi_and_alpha_apart_on_a_non_regular_graph(kernel_runs):
+    # the Grotzsch graph has degrees 3, 4 and 5, so phi walks with the degrees
+    # and alpha with unit weights; its odd degrees leave nu unasked
+    g = named_graph("grotzsch")
+    reports = run_all_checkers(g)
+    assert reports[4].witness["alpha"] == len(brute_alpha_witness(g))
+    assert reports[5].lhs == brute_min_mono(g)
+    every = (1 << 11) - 1
+    assert sorted(kernel_runs, key=repr) == sorted(
+        [
+            ("connected_components", None, None),
+            ("_max_weight_independent", every, g.degrees()),
+            ("_max_weight_independent", every, (1,) * 11),
+            ("_color_classes", every, None),
+            ("_max_cut_side", every, None),
+        ],
+        key=repr,
+    )
+
+
 def test_invariants_sequence_walks_alpha_once_per_component(kernel_runs):
     # phi, alpha, beta, chi and nu, the benchmark's invariants calls, on a
-    # 5-cycle and a 4-cycle: beta takes alpha's walk, and every kernel runs
-    # once per component and answer
+    # 5-cycle and a 4-cycle: the graph is regular, so phi and beta take
+    # alpha's walk, and every kernel runs once per component and answer
     g = build_graph(9, [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 4) for i in range(4)])
     assert sparing_number_exact(g).phi == 1
     assert independence_number(g) == (4, (0, 2, 5, 7))
@@ -680,7 +700,6 @@ def test_invariants_sequence_walks_alpha_once_per_component(kernel_runs):
     runs = [("connected_components", None, None)]
     for members in (0b11111, 0b111100000):
         runs += [
-            ("_max_weight_independent", members, (2,) * 9),
             ("_max_weight_independent", members, (1,) * 9),
             ("_color_classes", members, None),
             ("_matching_component", members, None),

@@ -6,9 +6,11 @@ from weakiasi import (
     build_graph,
     chromatic_number,
     complete_graph,
+    connected_components,
     cycle_graph,
     named_graph,
     path_graph,
+    star_graph,
 )
 from weakiasi.theorems import (
     GRAPH_CHECKERS,
@@ -19,6 +21,7 @@ from weakiasi.theorems import (
     check_matching_formula,
     check_odd_cycle_decomposition,
     check_union_formula,
+    _path_or_cycle,
     run_all_checkers,
 )
 
@@ -63,6 +66,24 @@ class TestChromaticClassFormula:
             assert report.witness["class_sizes_desc"] == [len(classes[c]) for c in order], g.edges
             assert report.witness["largest_classes"] == [list(classes[c]) for c in order[:2]], g.edges
             assert report.rhs == sum(len(classes[c]) for c in order[2:]), g.edges
+
+
+class TestPathOrCycle:
+    def test_path_cycle_predicates(self):
+        assert _path_or_cycle(path_graph(2))
+        assert _path_or_cycle(path_graph(9))
+        assert _path_or_cycle(cycle_graph(3))
+        assert _path_or_cycle(cycle_graph(4))
+        assert not _path_or_cycle(star_graph(3))
+        assert not _path_or_cycle(build_graph(0, []))
+        assert not _path_or_cycle(build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]))
+        assert not _path_or_cycle(build_graph(5, [(0, 1), (2, 3), (3, 4), (4, 2)]))
+
+    def test_agrees_with_connected_and_no_degree_above_two(self):
+        # a connected graph whose degrees are at most 2 is a path or a cycle
+        for g in (g for n in range(2, 6) for g in all_graphs(n, connected=False)):
+            expected = len(connected_components(g)) == 1 and max(g.degrees()) <= 2
+            assert _path_or_cycle(g) == expected, g.edges
 
 
 class TestChiPhiGap:
@@ -186,6 +207,10 @@ class TestUnionFormula:
         for shared in ({"0": 1}, {0: "1"}, {0: 1.0}, {True: 0}, {0.0: 1}):
             with pytest.raises(ValueError, match="int vertex ids"):
                 check_union_formula(cycle_graph(3), cycle_graph(3), shared=shared)
+
+    def test_shared_key_outside_the_second_graph(self):
+        with pytest.raises(ValueError, match="^shared key 3 out of range for the second graph$"):
+            check_union_formula(cycle_graph(4), cycle_graph(3), shared={3: 0})
 
 
 class TestOddCycleDecomposition:
