@@ -12,8 +12,9 @@ define at import, and so also tuples: iterable, indexable, equal to a tuple.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from functools import partial
-from typing import Iterable, Mapping, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     InvalidEdgeError,
@@ -54,7 +55,8 @@ class Graph(NamedTuple):
     """Simple undirected graph: no loops, no parallel edges, no isolated vertices.
 
     ``adj[v]`` is a bit-vector with bit ``u`` set iff ``(min(u,v), max(u,v))``
-    appears in ``edges``; ``edges`` is sorted with ``u < v`` in each pair.
+    appears in ``edges``; ``edges`` is sorted with ``u < v`` in each pair. A
+    graph hashes by ``adj`` (``names`` is a dict), so it can key a cache.
     """
 
     n: int
@@ -71,6 +73,9 @@ class Graph(NamedTuple):
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
+
+    def __hash__(self) -> int:
+        return hash(self.adj)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

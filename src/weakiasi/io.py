@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from typing import Mapping
+from collections.abc import Mapping
 
 from .graph import Edge, Graph, _plain_decimal, build_graph
 from .labeling import IasiLabeling

@@ -9,8 +9,9 @@ sumset size bounds forces at least one singleton endpoint per edge.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple
+from typing import NamedTuple
 
 from .errors import MissingLabelError, NotIndependentError, NotWeakError, TooLargeError
 from .graph import Edge, Graph, _to_json, by_vertex_id

@@ -1,11 +1,12 @@
 """Exact desk-scale solvers: sparing number, maximum cut / bipartization,
 matching, chromatic, independence and cover numbers.
 
-All solvers are exact and deterministic. Ties are broken toward the
-lexicographically smallest witness (compared as sorted vertex or edge id
-lists), so identical inputs always yield identical certificates. Inputs
-beyond the documented limits raise ``TooLargeError`` rather than degrading to
-heuristics.
+All solvers are exact and deterministic: each picks its witness by the rule
+its docstring states. φ, α and the maximum cut take the lexicographically
+smallest optimum (as sorted vertex or edge id lists), β the complement of
+α's, and ν and χ the first of their search (ν on P3 gives ``((1, 2),)``, χ on
+P4 the classes ``((1, 3), (0, 2))``). Inputs beyond the documented limits
+raise ``TooLargeError`` rather than degrading to heuristics.
 
 Each connected component is solved in place by a kernel, ``kernel(graph,
 members, *args)``, which takes the graph and the component's vertex mask in
@@ -15,20 +16,19 @@ search. It returns an immutable answer: a vertex mask
 (``_color_classes``) or a tuple of matched edges (``_matching_component``).
 Components share no vertex, so the masks of a union add up.
 
-Each graph is solved once. Every answer is a function of ``graph.adj`` (n and
-the sorted edges follow from it), so ``_per_component(graph, kernel, *args)``
-keeps the answers of the last distinct graph only, in a private store keyed
-by ``adj``: its component masks and, for each kernel and ``args``, the tuple
-of the kernel's answers per component. The public functions check their
-limit before the lookup, so a ``TooLargeError`` is raised on every call and
-never stored, and build their results from the stored answers on every call,
-so no caller gets another's mutable labeling. A new graph replaces the store
-as one ``(adj, answers)`` tuple, so a concurrent caller never reads another
-graph's answer.
+Each graph is solved once: ``_per_component`` is a ``functools.lru_cache``
+(a ``Graph`` hashes by ``adj``) of a graph's component masks and, per kernel
+and ``args``, the kernel's answers per component. A ``check-theorems`` graph
+takes six entries and ``check_union_formula`` two for each of four graphs,
+hence eight. The public functions check their limit before the lookup, so a
+``TooLargeError`` is raised on every call and never cached, and build their
+results from the cached answers on every call, so no caller gets another's
+mutable labeling.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import TooLargeError
@@ -39,24 +39,12 @@ SOLVER_VERTEX_LIMIT = 32
 MATCHING_VERTEX_LIMIT = 24
 
 
-# the last graph solved: its adj, and its answers, the component masks under
-# None and each kernel's answers per component under (kernel, *args)
-_solved: tuple[tuple[int, ...], dict] = ((), {})
-
-
-def _per_component(graph: Graph, kernel, *args) -> tuple:
-    """``kernel(graph, members, *args)`` of each component, ordered by smallest member, once per graph."""
-    global _solved
-    adj, answers = _solved
-    if adj != graph.adj or None not in answers:  # an emptied store has the empty graph's adj
-        masks = tuple(sum(1 << v for v in members) for members in connected_components(graph))
-        adj, answers = graph.adj, {None: masks}
-        _solved = adj, answers
-    key = (kernel, *args)
-    answer = answers.get(key)
-    if answer is None:
-        answer = answers[key] = tuple(kernel(graph, members, *args) for members in answers[None])
-    return answer
+@lru_cache(maxsize=8)
+def _per_component(graph: Graph, kernel=None, *args) -> tuple:
+    """Per component, by smallest member: its mask with no kernel, else ``kernel(graph, members, *args)``."""
+    if kernel is None:
+        return tuple(sum(1 << v for v in members) for members in connected_components(graph))
+    return tuple(kernel(graph, members, *args) for members in _per_component(graph))
 
 
 def _require(graph: Graph, limit: int, what: str) -> None:
@@ -454,8 +442,8 @@ def vertex_cover_number(graph: Graph) -> tuple[int, tuple[int, ...]]:
     """Minimum vertex cover as the complement of a maximum independent set.
 
     beta = n - alpha (Gallai), so the cover is the complement of
-    ``independence_number``'s witness, which the store (see the module
-    docstring) keeps once alpha of this ``graph.adj`` is known.
+    ``independence_number``'s witness, which is cached (see the module
+    docstring) once alpha of this graph is known.
     """
     _require(graph, SOLVER_VERTEX_LIMIT, "cover solver")
     alpha, independent = independence_number(graph)

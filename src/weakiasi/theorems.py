@@ -9,7 +9,8 @@ relation is data, not an error. Each checker tests its own hypothesis, as
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple
+from collections.abc import Mapping
+from typing import NamedTuple
 
 from .errors import NotEulerianError, TooLargeError
 from .graph import Graph, _to_json, build_graph, connected_components, decompose_into_cycles

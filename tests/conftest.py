@@ -22,8 +22,8 @@ def cold_caches():
     caches to the tests after it, which would make their results and timings
     depend on the order the suite runs in.
     """
-    solvers._solved = ((), {})
+    solvers._per_component.cache_clear()
     labeling.spread_values.cache_clear()
     yield
-    solvers._solved = ((), {})
+    solvers._per_component.cache_clear()
     labeling.spread_values.cache_clear()

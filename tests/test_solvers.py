@@ -629,7 +629,7 @@ def kernel_runs(monkeypatch):
     """(function, component mask, weights) for each run of a kernel and of
     ``connected_components``, starting from an empty store."""
     runs = []
-    monkeypatch.setattr(solvers, "_solved", ((), {}))
+    solvers._per_component.cache_clear()
     for name in ("_max_weight_independent", "_color_classes", "_matching_component", "_max_cut_side"):
         kernel = getattr(solvers, name)
 
@@ -707,11 +707,11 @@ def test_invariants_sequence_walks_alpha_once_per_component(kernel_runs):
     assert sorted(kernel_runs, key=repr) == sorted(runs, key=repr)
 
 
-def test_store_holds_only_immutable_answers(monkeypatch):
+def test_store_holds_only_immutable_answers():
     # the triangle 0-2-4 with the tail 4-6-8 and the path 1-3-5-7-9: the
     # invariants calls and the checkers store the component masks and one
     # answer per kernel and weights, each an int or a tuple of them
-    monkeypatch.setattr(solvers, "_solved", ((), {}))
+    solvers._per_component.cache_clear()
     g = build_graph(10, [(0, 2), (0, 4), (2, 4), (4, 6), (6, 8), (1, 3), (3, 5), (5, 7), (7, 9)])
     for solve in (sparing_number_exact, independence_number, vertex_cover_number, chromatic_number):
         solve(g)
@@ -721,21 +721,48 @@ def test_store_holds_only_immutable_answers(monkeypatch):
     def ints_or_tuples(value):
         return type(value) is int or type(value) is tuple and all(map(ints_or_tuples, value))
 
-    adj, answers = solvers._solved
-    assert adj == g.adj and len(answers) == 6
-    for key, answer in answers.items():
+    info = solvers._per_component.cache_info()
+    assert info.currsize == 6
+    keys = [
+        (),
+        (solvers._max_weight_independent, g.degrees()),
+        (solvers._max_weight_independent, (1,) * 10),
+        (solvers._color_classes,),
+        (solvers._matching_component,),
+        (solvers._max_cut_side,),
+    ]
+    for key in keys:
+        answer = solvers._per_component(g, *key)
         assert ints_or_tuples(answer), key
         hash(answer)
+    assert solvers._per_component.cache_info().misses == info.misses
 
 
-def test_empty_graph_is_solved_from_an_emptied_store(monkeypatch):
-    # the empty graph has the emptied store's adj, (), and no component
+def test_empty_graph_is_solved_from_an_emptied_store():
+    # the empty graph has no component, so each solver call on it finds its
+    # masks and answers empty tuples
     g = build_graph(0, [])
-    monkeypatch.setattr(solvers, "_solved", ((), {}))
+    solvers._per_component.cache_clear()
     assert sparing_number_exact(g)[:3] == (0, (), ())
-    monkeypatch.setattr(solvers, "_solved", ((), {}))
+    solvers._per_component.cache_clear()
     assert max_bipartite_subgraph(g) == (0, (), ((), ()))
-    assert solvers._solved == ((), {None: (), (solvers._max_cut_side,): ()})
+
+
+def test_graphs_key_the_store_by_their_adjacency(kernel_runs):
+    # a graph hashes by adj, names or not, so an equal graph built again finds
+    # its answers stored; nine other graphs of two entries each push them out
+    # of the store's eight, and the graph is solved again to the same cut
+    for g in (cycle_graph(5), named_graph("petersen")):
+        assert hash(g) == hash(g.adj)
+    edges = [(0, 1), (0, 2), (1, 2), (2, 3)]
+    first = max_bipartite_subgraph(build_graph(4, edges))
+    assert len(kernel_runs) == 2
+    assert max_bipartite_subgraph(build_graph(4, edges)) == first
+    assert len(kernel_runs) == 2
+    for n in range(3, 12):
+        max_bipartite_subgraph(cycle_graph(n))
+    assert max_bipartite_subgraph(build_graph(4, edges)) == first
+    assert len(kernel_runs) == 2 + 9 * 2 + 2
 
 
 def test_threads_sharing_the_store_get_their_own_graphs_answers():
