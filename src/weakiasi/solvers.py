@@ -149,6 +149,8 @@ def _max_cut_side(graph: Graph, members: int) -> int:
     smallest edges first. The removed edges are kept as a bitmask with edge i
     at bit m-1-i: every maximum cut removes the same number of edges, so the
     larger mask is the smaller list and a tie costs one integer comparison.
+    Each side carries the mask of its vertices' edges, so placing a vertex
+    cuts its edges in the other side's mask and removes those in its own.
     The bound on a node is the cut so far, plus, for each undecided vertex,
     the larger of its edge counts to the two sides, plus the edges among the
     undecided vertices less a greedy edge-disjoint triangle packing of them
@@ -160,36 +162,25 @@ def _max_cut_side(graph: Graph, members: int) -> int:
     ``_local_search_side``, which cuts at least m/2 edges.
     """
     adj, m = graph.adj, graph.m
-    edge_bit = {e: 1 << (m - 1 - i) for i, e in enumerate(graph.edges) if members >> e[0] & 1}
     low = (members & -members).bit_length() - 1
-    order = list(dict.fromkeys([low, *(v for e in edge_bit for v in e)]))
+    first, incident = {low: None}, [0] * graph.n
+    for i, e in enumerate(graph.edges):
+        if members >> e[0] & 1:
+            for v in e:
+                first[v] = None
+                incident[v] |= 1 << (m - 1 - i)
+    order = list(first)
     n = len(order)
-    incident = [0] * graph.n
-    for (u, v), b in edge_bit.items():
-        incident[u] |= b
-        incident[v] |= b
-
-    # per depth d: the vertex placed there, its decided neighbours and the
-    # (vertex bit, edge bit) pair of each edge to them
-    vertex_bit, back_adj, back_pairs, back_bits = [], [], [], []
-    decided = 0
-    for v in order:
-        back = adj[v] & decided
-        pairs = tuple((1 << u, edge_bit[(u, v) if u < v else (v, u)]) for u in _bits(back))
-        vertex_bit.append(1 << v)
-        back_adj.append(back)
-        back_pairs.append(pairs)
-        back_bits.append(sum(b for _, b in pairs))
-        decided |= 1 << v
 
     # per depth d, for the undecided set U = order[d:] of k vertices: the bits
-    # of every edge touching U, the decided neighbours of each vertex of U,
-    # and slack = |E(U, D)| + min(|E(U)| - t(U), k*k // 4), where t(U) is a
-    # greedy edge-disjoint triangle packing of G[U]. The packing grows from
-    # the deepest level up: each new vertex takes triangles over unused edges.
+    # of every edge touching U, each vertex of U's decided neighbours with
+    # their count, and slack = |E(U, D)| + min(|E(U)| - t(U), k*k // 4), where
+    # t(U) is a greedy edge-disjoint triangle packing of G[U]. The packing
+    # grows from the deepest level up: each new vertex takes triangles over
+    # unused edges.
     open_bits = [0] * (n + 1)
     slack = [0] * (n + 1)
-    open_adj: list[tuple[int, ...]] = [()] * (n + 1)
+    open_adj: list[tuple[tuple[int, int], ...]] = [()] * (n + 1)
     unused = [0] * graph.n
     undecided = packed = inside = 0
     for d in range(n - 1, -1, -1):
@@ -211,17 +202,15 @@ def _max_cut_side(graph: Graph, members: int) -> int:
         open_bits[d] = open_bits[d + 1] | incident[v]
         k = n - d
         slack[d] = open_bits[d].bit_count() - inside + min(inside - packed, k * k // 4)
-        open_adj[d] = tuple(a for a in (adj[w] & ~undecided for w in order[d:]) if a)
+        open_adj[d] = tuple((a, a.bit_count()) for a in (adj[w] & ~undecided for w in order[d:]) if a)
 
     best_side = _local_search_side(graph, members, order)
-    best_cut = best_mask = 0
-    for (u, v), b in edge_bit.items():
-        if (best_side >> u ^ best_side >> v) & 1:
-            best_cut += 1
-        else:
-            best_mask |= b
+    sides = [0, 0]
+    for v in order:
+        sides[best_side >> v & 1] |= incident[v]
+    best_cut, best_mask = (sides[0] & sides[1]).bit_count(), sides[0] ^ sides[1]
 
-    def place(d: int, side0: int, side1: int, cut: int, removed: int) -> None:
+    def place(d: int, side1: int, edges0: int, edges1: int, cut: int, removed: int) -> None:
         nonlocal best_cut, best_mask, best_side
         if d == n:
             if cut > best_cut or (cut == best_cut and removed > best_mask):
@@ -230,21 +219,17 @@ def _max_cut_side(graph: Graph, members: int) -> int:
         bound = cut + slack[d]
         if bound < best_cut:
             return
-        for a in open_adj[d]:
-            x, y = (a & side0).bit_count(), (a & side1).bit_count()
-            bound -= x if x < y else y
+        for a, size in open_adj[d]:
+            y = (a & side1).bit_count()
+            bound -= size - y if size < 2 * y else y
         if bound < best_cut or (bound == best_cut and removed | open_bits[d] <= best_mask):
             return
-        removed0 = 0
-        for ub, eb in back_pairs[d]:
-            if side0 & ub:
-                removed0 |= eb
-        back, vb = back_adj[d], vertex_bit[d]
-        place(d + 1, side0 | vb, side1, cut + (back & side1).bit_count(), removed | removed0)
-        removed1 = removed0 ^ back_bits[d]
-        place(d + 1, side0, side1 | vb, cut + (back & side0).bit_count(), removed | removed1)
+        v = order[d]
+        e = incident[v]
+        place(d + 1, side1, edges0 | e, edges1, cut + (e & edges1).bit_count(), removed | (e & edges0))
+        place(d + 1, side1 | 1 << v, edges0, edges1 | e, cut + (e & edges0).bit_count(), removed | (e & edges1))
 
-    place(1, vertex_bit[0], 0, 0, 0)
+    place(1, 0, incident[order[0]], 0, 0, 0)
     return best_side
 
 

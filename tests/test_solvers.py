@@ -199,6 +199,13 @@ class TestMaxCut:
         rng = random.Random(909)
         graphs = [g for n in range(2, 7) for g in all_graphs(n, connected=False)]
         graphs += [random_connected_graph(rng, rng.randint(6, 10)) for _ in range(20)]
+        # components whose ids interleave, so each reads edge positions
+        # scattered over the whole edge list: two 5-cycles on the even and
+        # the odd ids, and Petersen beside K4
+        graphs.append(build_graph(10, [(i, (i + 2) % 10) for i in range(10)]))
+        ids = (0, 2, 3, 5, 6, 8, 9, 11, 12, 13)
+        petersen = [(ids[u], ids[v]) for u, v in named_graph("petersen").edges]
+        graphs.append(build_graph(14, petersen + list(itertools.combinations((1, 4, 7, 10), 2))))
         for g in graphs:
             cert = max_bipartite_subgraph(g)
             assert (cert.b, cert.removed_edges) == brute_max_cut_certificate(g)[:2]
