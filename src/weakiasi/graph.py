@@ -6,15 +6,16 @@ loops, no parallel edges, no isolated vertices) and never mutated afterwards,
 so instances are safe to share. The module also finds components and cycle
 decompositions; the relation checkers test their own hypotheses.
 
-``Graph`` and the package's other records are ``NamedTuple`` classes, cheap to
-define at import, and so also tuples: iterable, indexable, equal to a tuple.
+Each record, ``Graph`` among them, is one subclass of a ``collections.namedtuple``
+with ``__slots__ = ()``, holding its docstring, methods and any normalizing
+``__new__``: immutable, and a tuple too (iterable, indexable, equal to a tuple).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from functools import partial
-from typing import NamedTuple
 
 from .errors import (
     InvalidEdgeError,
@@ -51,7 +52,7 @@ def _to_json(value):
     return value
 
 
-class Graph(NamedTuple):
+class Graph(namedtuple("Graph", "n edges adj names")):
     """Simple undirected graph: no loops, no parallel edges, no isolated vertices.
 
     ``adj[v]`` is a bit-vector with bit ``u`` set iff ``(min(u,v), max(u,v))``
@@ -59,10 +60,7 @@ class Graph(NamedTuple):
     graph hashes by ``adj`` (``names`` is a dict), so it can key a cache.
     """
 
-    n: int
-    edges: tuple[Edge, ...]
-    adj: tuple[int, ...]
-    names: Mapping[int, str]
+    __slots__ = ()
 
     @property
     def m(self) -> int:

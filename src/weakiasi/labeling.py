@@ -9,9 +9,9 @@ sumset size bounds forces at least one singleton endpoint per edge.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from functools import lru_cache
-from typing import NamedTuple
 
 from .errors import MissingLabelError, NotIndependentError, NotWeakError, TooLargeError
 from .graph import Edge, Graph, _to_json, by_vertex_id
@@ -49,12 +49,7 @@ def sumset(a: Iterable[int], b: Iterable[int]) -> Label:
     return tuple(sorted({x + y for x in ta for y in tb}))
 
 
-# NamedTuple allows no __new__ in its body, so IasiLabeling normalizes in a subclass
-class _LabelingFields(NamedTuple):
-    vertex_labels: Mapping[int, Label]
-
-
-class IasiLabeling(_LabelingFields):
+class IasiLabeling(namedtuple("IasiLabeling", "vertex_labels")):
     """Vertex set-labels, keyed by vertex id, each normalized by ``make_label``."""
 
     __slots__ = ()
@@ -63,8 +58,8 @@ class IasiLabeling(_LabelingFields):
         normalized = {v: make_label(lbl) for v, lbl in by_vertex_id(vertex_labels, "label").items()}
         return super().__new__(cls, normalized)
 
-    # the named tuple's own _make would skip the checks in __new__; its _replace calls this
-    # one, so it normalizes too (an unknown field raises its ValueError, TypeError from 3.13)
+    # namedtuple's own _make calls tuple.__new__, skipping the checks in __new__; its _replace
+    # calls this one, so it normalizes too (an unknown field raises ValueError, TypeError from 3.13)
     @classmethod
     def _make(cls, iterable) -> IasiLabeling:
         return cls(*iterable)
@@ -91,16 +86,15 @@ class IasiLabeling(_LabelingFields):
         return cls(raw)
 
 
-class LabelingReport(NamedTuple):
-    """Verification outcome: three flags plus the first violating pair of each failure."""
+class LabelingReport(namedtuple("LabelingReport", "vertex_injective edge_injective weak vertex_collision "
+                                                  "edge_collision weak_violation edge_indexing_numbers")):
+    """Verification outcome: three flags plus the first violating pair of each failure.
 
-    vertex_injective: bool
-    edge_injective: bool
-    weak: bool
-    vertex_collision: tuple[int, int] | None
-    edge_collision: tuple[Edge, Edge] | None
-    weak_violation: Edge | None
-    edge_indexing_numbers: Mapping[Edge, int]
+    Each witness is None when its flag holds; ``edge_indexing_numbers`` maps
+    each edge to the size of its sumset.
+    """
+
+    __slots__ = ()
 
     @property
     def valid_weak(self) -> bool:

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import TooLargeError
 from .graph import Graph, _to_json
 from .labeling import IasiLabeling, pattern_labeling, verify_iasi
-from .solvers import SparingCertificate, sparing_number_exact
+from .solvers import sparing_number_exact
 
 ORACLE_VERTEX_LIMIT = 7
 
@@ -38,12 +38,10 @@ def sparing_oracle(graph: Graph) -> tuple[int, IasiLabeling]:
     return best_count, best_labeling
 
 
-class CrossValidation(NamedTuple):
-    agree: bool
-    oracle_phi: int
-    solver_phi: int
-    oracle_labeling: IasiLabeling
-    certificate: SparingCertificate
+class CrossValidation(namedtuple("CrossValidation", "agree oracle_phi solver_phi oracle_labeling certificate")):
+    """The brute-force optimum and its labeling beside the fast solver's certificate."""
+
+    __slots__ = ()
 
     to_json_dict = _to_json
 

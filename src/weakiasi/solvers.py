@@ -28,12 +28,12 @@ mutable labeling.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .errors import TooLargeError
 from .graph import Edge, Graph, _bits, _to_json, connected_components
-from .labeling import IasiLabeling, construct_labeling
+from .labeling import construct_labeling
 
 SOLVER_VERTEX_LIMIT = 32
 MATCHING_VERTEX_LIMIT = 24
@@ -57,7 +57,7 @@ def _require(graph: Graph, limit: int, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-class SparingCertificate(NamedTuple):
+class SparingCertificate(namedtuple("SparingCertificate", "phi independent_set mono_edges labeling")):
     """Optimal mono-indexed edge count with a full witness.
 
     ``independent_set`` is the optimal choice of non-singleton vertices,
@@ -65,10 +65,7 @@ class SparingCertificate(NamedTuple):
     labeling realizing exactly those mono edges.
     """
 
-    phi: int
-    independent_set: tuple[int, ...]
-    mono_edges: tuple[Edge, ...]
-    labeling: IasiLabeling
+    __slots__ = ()
 
     to_json_dict = _to_json
 
@@ -100,12 +97,10 @@ def sparing_number_exact(graph: Graph) -> SparingCertificate:
 # ---------------------------------------------------------------------------
 
 
-class BipartizationCertificate(NamedTuple):
+class BipartizationCertificate(namedtuple("BipartizationCertificate", "b removed_edges bipartition")):
     """Maximum bipartite spanning subgraph: kept size b, removed edges, 2-coloring."""
 
-    b: int
-    removed_edges: tuple[Edge, ...]
-    bipartition: tuple[tuple[int, ...], tuple[int, ...]]
+    __slots__ = ()
 
     to_json_dict = _to_json
 

@@ -9,8 +9,8 @@ relation is data, not an error. Each checker tests its own hypothesis, as
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping
-from typing import NamedTuple
 
 from .errors import NotEulerianError, TooLargeError
 from .graph import Graph, _to_json, build_graph, connected_components, decompose_into_cycles
@@ -29,15 +29,10 @@ FAILS = "fails"
 NOT_APPLICABLE = "not-applicable"
 
 
-class TheoremReport(NamedTuple):
+class TheoremReport(namedtuple("TheoremReport", "theorem inputs lhs rhs verdict witness")):
     """Self-contained verdict: holds iff lhs == rhs, with a numeric witness payload."""
 
-    theorem: str
-    inputs: Mapping
-    lhs: int | None
-    rhs: int | None
-    verdict: str
-    witness: Mapping
+    __slots__ = ()
 
     to_json_dict = _to_json
 

@@ -1,6 +1,8 @@
 """What the package costs to import, and what its records and exports promise."""
 
+import copy
 import json
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -23,20 +25,32 @@ from weakiasi.theorems import run_all_checkers
 SRC = Path(weakiasi.__file__).resolve().parents[1]
 
 
+def _loaded_by(modules):
+    """What importing ``modules`` loads in a fresh interpreter that has json and argparse."""
+    # json and argparse are loaded first, so only what weakiasi itself pulls in counts; -S
+    # skips site, whose .pth files could load typing first and hide it from this count
+    code = (
+        f"import sys, json, argparse; before = set(sys.modules); import {modules}; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], cwd=SRC, capture_output=True, text=True, check=True
+    )
+    return set(out.stdout.split())
+
+
 def test_cli_import_loads_no_dataclasses_checkers_or_oracle():
+    # the package has no runtime dependency, and its records need no typing: click,
+    # dataclasses or typing coming back fails here
+    forbidden = {"click", "dataclasses", "typing"}
     for module in ("weakiasi", "weakiasi.cli"):
-        # json and argparse are loaded first, so only what weakiasi itself pulls in counts
-        code = (
-            f"import sys, json, argparse; before = set(sys.modules); import {module}; "
-            "print(' '.join(sorted(set(sys.modules) - before)))"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], cwd=SRC, capture_output=True, text=True, check=True
-        )
-        loaded = set(out.stdout.split())
+        loaded = _loaded_by(module)
         assert module in loaded
-        # the package has no runtime dependency: click coming back fails here
-        assert not loaded & {"click", "dataclasses", "weakiasi.theorems", "weakiasi.oracle"}, module
+        assert not loaded & (forbidden | {"weakiasi.theorems", "weakiasi.oracle"}), module
+    # check-theorems and oracle load these two
+    loaded = _loaded_by("weakiasi.theorems, weakiasi.oracle")
+    assert {"weakiasi.theorems", "weakiasi.oracle"} <= loaded
+    assert not loaded & forbidden
 
 
 FIELDS = {
@@ -98,6 +112,17 @@ def test_record_json_is_plain_json(kind):
     # a tuple or a non-string key would not survive the round trip unchanged
     assert json.loads(json.dumps(data)) == data
     assert set(data) == set(JSON_FIELDS[kind])
+
+
+@pytest.mark.parametrize("kind", sorted(FIELDS.keys() | JSON_FIELDS.keys()))
+def test_records_survive_pickling_and_deepcopy(kind):
+    record = _record(kind)
+    for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(copied) is type(record)
+        assert copied == record
+        if kind == "IasiLabeling":
+            # dict equality tells 0 from "0" and (1,) from [1]: still int keys and tuple labels
+            assert copied == IasiLabeling(copied.vertex_labels)
 
 
 def test_labeling_keys_are_checked_and_normalized():

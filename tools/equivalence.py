@@ -9,6 +9,11 @@ distinct pool graphs of ``perfbench/corpus.py``. Per graph the solver answer
 cache is cleared and a digest is kept of the ``repr`` of φ, max cut, α, β, χ
 and ν (n <= 24), and of the ``run_all_checkers`` JSON (n <= 6). One line per
 solver gives the graphs compared, how many differ and the first that does.
+Then each command line of ``INVOCATIONS`` runs once per tree, each in its own
+``python -m weakiasi.cli`` process in a temporary working directory that
+holds ``FILES``. One line gives the command lines compared and how many
+differ, and one more line per difference names the command line and what
+differs: exit code, stdout (``timings_ms`` emptied), stderr or a file it wrote.
 It reports data, not a verdict, and always exits 0.
 
 Run with one SRC, it prints that tree's digests, one line per graph.
@@ -16,13 +21,60 @@ Run with one SRC, it prints that tree's digests, one line per graph.
 
 import hashlib
 import json
+import os
+import re
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SOLVERS = ("phi", "max_cut", "alpha", "beta", "chi", "nu", "checkers")
+
+FILES = {
+    "c4.txt": "4 4\n0 1\n0 3\n1 2\n2 3\n",
+    "c4.json": json.dumps({"n": 4, "edges": [[0, 1], [0, 3], [1, 2], [2, 3]]}),
+    "petersen.json": json.dumps(
+        {"n": 10, "edges": [e for i in range(5) for e in ((i, (i + 1) % 5), (i, i + 5), (i + 5, (i + 2) % 5 + 5))]}
+    ),
+    "k2.json": json.dumps({"n": 2, "edges": [[0, 1]]}),
+    "bad.txt": "3 2\n0 1\nx y\n",
+    "broken.json": json.dumps({"vertex_labels": {"0": [0, 1], "1": [2, 3], "2": [7], "3": [9]}}),
+    "malformed.json": json.dumps({"vertex_labels": {"0": 5}}),
+    "outside.json": json.dumps({"vertex_labels": {str(v): [v] for v in (0, 1, 2, 3, 9)}}),
+    "missing.json": json.dumps({"vertex_labels": {"0": [0]}}),
+    "hostile.json": json.dumps({"vertex_labels": {"0": list(range(0, 6000, 2)), "1": list(range(1, 6000, 2))}}),
+}
+_ON_GRAPH = ("sparing", "check-theorems", "oracle")
+# built.json holds the labeling that "sparing --named petersen --labeling" builds in the same tree
+INVOCATIONS = [tuple(line.split()) for line in (
+    "--version", "--help", *(f"{c} --help" for c in (*_ON_GRAPH, "verify", "named")),
+    "named", "named --json-indent 0",
+    # the oracle stops at 7 vertices, below every named graph
+    *(f"{c} --named {g}" for c in _ON_GRAPH[:2] for g in ("petersen", "frucht", "grotzsch", "durer", "dodecahedron")),
+    *(f"{c} --named {f} --param 5" for c in _ON_GRAPH for f in ("cycle", "path", "complete", "star")),
+    "sparing --named CYCLE --param 5", "check-theorems --named cycle --param 26",
+    "sparing --named petersen --labeling", "sparing --named cycle --param 5 --labeling --dot c5.dot",
+    *(f"sparing --named petersen --json-indent {k}" for k in (0, 4, 16, -5)),
+    *(f"{c} --graph {f}" for c in _ON_GRAPH for f in ("c4.txt", "c4.json", "petersen.json")),
+    "verify --graph petersen.json --labeling built.json", "verify --graph c4.json --labeling broken.json",
+    # exit 2: usage errors
+    "", "-x sparing --named petersen", "-x sparing --nam petersen", "-x sparing -h", "-x -y named",
+    "sparing", "sparing --param 5", "sparing --nam petersen",
+    "sparing --named petersen --graph c4.txt", "sparing --named petersen --label", "verify --grap g.json",
+    "sparing --named petersen --json-indent 17", "check-theorems --named frucht --threads 2", "named --threads 2",
+    "sparing --graph c4.txt --param 4", *(f"{c} --graph ." for c in _ON_GRAPH), "sparing --named petersen --dot .",
+    "sparing --graph absent.json", "verify --graph absent.json --labeling c4.json",
+    *(f"verify --graph c4.json --labeling {f}" for f in ("absent.json", ".")),
+    # exit 1: input and limit errors
+    "sparing --named heawood", "sparing --named cycle --param 40", "oracle --named petersen",
+    *(f"{c} --named complete --param 1000" for c in _ON_GRAPH), "sparing --named star --param 32",
+    "sparing --named petersen --dot no-dir/out.dot", *(f"{c} --graph bad.txt" for c in _ON_GRAPH),
+    "verify --graph bad.txt --labeling missing.json", "verify --graph k2.json --labeling hostile.json",
+    *(f"verify --graph c4.json --labeling {f}" for f in ("c4.json", "malformed.json", "outside.json", "missing.json")),
+)]
+_TIMINGS = re.compile(r'"timings_ms": \{[^{}]*\}')
 
 
 def _digests(src: str) -> None:
@@ -60,9 +112,40 @@ def _rows(src: str) -> list:
     return [json.loads(line) for line in run.stdout.splitlines()]
 
 
+def _files(directory: str) -> dict:
+    return {p.name: p.read_text() for p in Path(directory).iterdir() if p.is_file()}
+
+
+def _cli_rows(src: str) -> list:
+    """Per command line of ``INVOCATIONS``: exit code, stdout, stderr and the files it wrote."""
+    env = {**os.environ, "PYTHONPATH": str(Path(src).resolve()), "COLUMNS": "80"}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in FILES.items():
+            Path(tmp, name).write_text(text)
+
+        def run(args):
+            command = [sys.executable, "-m", "weakiasi.cli", *args]
+            return subprocess.run(command, cwd=tmp, env=env, capture_output=True, text=True)
+
+        try:
+            built = json.loads(run(("sparing", "--named", "petersen", "--labeling")).stdout)["results"]["labeling"]
+        except (ValueError, KeyError, TypeError):
+            built = None
+        Path(tmp, "built.json").write_text(json.dumps(built))
+        rows = []
+        for args in INVOCATIONS:
+            before = _files(tmp)
+            out = run(args)
+            written = {name: text for name, text in _files(tmp).items() if before.get(name) != text}
+            stdout = _TIMINGS.sub('"timings_ms": {}', out.stdout)
+            rows.append({"exit code": out.returncode, "stdout": stdout, "stderr": out.stderr, "files": written})
+    return rows
+
+
 def _compare(old: str, new: str) -> None:
     with ThreadPoolExecutor(2) as pool:
         old_rows, new_rows = pool.map(_rows, (old, new))
+        old_cli, new_cli = pool.map(_cli_rows, (old, new))
     if len(old_rows) != len(new_rows):
         print(f"graph counts differ: {len(old_rows)} against {len(new_rows)}")
     rows = [(a, b, name) for (_, a), (name, b) in zip(old_rows, new_rows)]
@@ -71,6 +154,11 @@ def _compare(old: str, new: str) -> None:
         differ = [name for a, b, name in rows if a.get(solver) != b.get(solver)]
         first = f", first {differ[0]}" if differ else ""
         print(f"{solver}: {compared} graphs compared, {len(differ)} differ{first}")
+    differ = [(args, a, b) for args, a, b in zip(INVOCATIONS, old_cli, new_cli) if a != b]
+    print(f"cli: {len(INVOCATIONS)} command lines compared, {len(differ)} differ")
+    for args, a, b in differ:
+        for part in (part for part in a if a[part] != b[part]):
+            print(f"  weakiasi {' '.join(args)}: {part} {a[part]!r:.200} against {b[part]!r:.200}")
 
 
 if __name__ == "__main__":
