@@ -21,10 +21,15 @@ from .errors import (
     InvalidEdgeError,
     IsolatedVertexError,
     NotEulerianError,
+    TooLargeError,
     UnknownNameError,
 )
 
 Edge = tuple[int, int]
+
+# adj[v] is an int as wide as v's highest neighbour id, so the adjacency of n
+# vertices may take about n * n / 16 bytes; 2**14 keeps that near 17 MB
+GRAPH_VERTEX_LIMIT = 1 << 14
 
 # LCF shifts for the standard 12-vertex cubic realization of the Frucht graph.
 _FRUCHT_LCF = (-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2)
@@ -119,7 +124,8 @@ def build_graph(
 
     Edges are normalized to ``u < v``. Raises ``ValueError`` if ``n`` or an id
     is not an ``int``, ``InvalidEdgeError`` on loops, out-of-range ids, or
-    duplicates, and ``IsolatedVertexError`` if any vertex ends up with degree 0.
+    duplicates, ``IsolatedVertexError`` if any vertex ends up with degree 0,
+    and ``TooLargeError`` above ``GRAPH_VERTEX_LIMIT`` vertices.
     """
     # type() rather than isinstance(): True and False are ints too
     if type(n) is not int:
@@ -145,6 +151,8 @@ def build_graph(
         # the scan stops within len(touched) + 1 ids and nothing is allocated
         # per vertex before this check, since n may come from hostile input
         raise IsolatedVertexError(next(v for v in range(n) if v not in touched))
+    if n > GRAPH_VERTEX_LIMIT:
+        raise TooLargeError("graph", n, GRAPH_VERTEX_LIMIT)
     normalized.sort()
     adj = [0] * n
     for u, v in normalized:

@@ -36,6 +36,7 @@ from .graph import Edge, Graph, _bits, _to_json, connected_components
 from .labeling import construct_labeling
 
 SOLVER_VERTEX_LIMIT = 32
+# nu's recursion is exponential: some 32-vertex graphs take seconds (ROADMAP item 3)
 MATCHING_VERTEX_LIMIT = 24
 
 
@@ -278,54 +279,54 @@ def matching_number(graph: Graph) -> int:
 def _matching_component(graph: Graph, members: int) -> tuple[Edge, ...]:
     """Witness edges (v, u), v < u, of a maximum matching of the component ``members``.
 
-    A subset dynamic program over vertex masks, memoized on the remaining
-    vertex set. The lowest vertex v of a mask, if it has a neighbour there,
-    is matched in some maximum matching (swap its neighbour's edge for the
-    one to v), so the program only branches on v's neighbours, and stops at
-    the first one that leaves at most one vertex of the mask unmatched.
+    A recursion over vertex masks, memoized, that decides each mask the way
+    the witness rule does. With v the lowest vertex of a mask and rest the
+    mask less v, nu(mask) is nu(rest), or nu(rest) + 1 when some neighbour u
+    of v in rest has nu(rest - u) = nu(rest); the neighbours are tried in
+    ascending order while nu(rest) + 1 still fits in the mask, and the first
+    such u is recorded as v's partner. On a mask of even size v's smallest
+    neighbour is tried first for a perfect matching, which leaves no vertex
+    unmatched, so that neighbour is the rule's choice. The witness follows
+    the recorded partners from ``members``.
     """
     adj = graph.adj
     memo: dict[int, int] = {0: 0}
+    partner: dict[int, int] = {}  # mask -> bit of its lowest vertex's partner
 
-    def rec(mask: int) -> int:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
+    def nu(mask: int) -> int:
+        known = memo.get(mask)
+        if known is not None:
+            return known
         low = mask & -mask
-        v = low.bit_length() - 1
         rest = mask ^ low
-        nb = adj[v] & rest
-        if not nb:
-            best = rec(rest)
-        else:
-            # some maximum matching covers v: swap its neighbour's edge for uv
-            best, cap = 0, mask.bit_count() // 2
-            while nb and best < cap:
-                ub = nb & -nb
-                nb ^= ub
-                cand = 1 + rec(rest ^ ub)
-                if cand > best:
-                    best = cand
+        near = adj[low.bit_length() - 1] & rest
+        size = mask.bit_count()
+        if near and not size & 1:
+            ub = near & -near
+            if 2 * nu(rest ^ ub) + 2 == size:
+                memo[mask], partner[mask] = size // 2, ub
+                return size // 2
+        best = nu(rest)
+        if 2 * best + 2 <= size:
+            while near:
+                ub = near & -near
+                near ^= ub
+                if nu(rest ^ ub) == best:
+                    partner[mask] = ub
+                    best += 1
+                    break
         memo[mask] = best
         return best
 
+    nu(members)
     matched: list[Edge] = []
     mask = members
     while mask:
         low = mask & -mask
-        v = low.bit_length() - 1
-        rest = mask ^ low
-        if rec(mask) == rec(rest):
-            mask = rest
-            continue
-        nb = adj[v] & rest
-        while nb:
-            ub = nb & -nb
-            nb ^= ub
-            if 1 + rec(rest ^ ub) == rec(mask):
-                matched.append((v, ub.bit_length() - 1))
-                mask = rest ^ ub
-                break
+        ub = partner.get(mask, 0)
+        if ub:
+            matched.append((low.bit_length() - 1, ub.bit_length() - 1))
+        mask ^= low | ub
     return tuple(matched)
 
 

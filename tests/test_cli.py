@@ -459,6 +459,19 @@ class TestVerifyCommand:
         assert result.stdout == ""
         assert "Error:" in result.stderr and "9000000 additions" in result.stderr
 
+    def test_graph_above_the_vertex_bound_is_input_error(self, tmp_path):
+        # a perfect matching on 2**14 + 2 vertices is refused before its adjacency is built
+        n = weakiasi.graph.GRAPH_VERTEX_LIMIT + 2
+        graph_file = tmp_path / "matching.txt"
+        graph_file.write_text(f"{n} {n // 2}\n" + "".join(f"{2 * i} {2 * i + 1}\n" for i in range(n // 2)))
+        labeling_file = tmp_path / "lab.json"
+        labeling_file.write_text(json.dumps({"vertex_labels": {"0": [0], "1": [1]}}))
+        result = run_cli("verify", "--graph", str(graph_file), "--labeling", str(labeling_file))
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert f"Error: graph supports at most 16384 vertices, got {n}" in result.stderr
+
     def test_missing_label_is_input_error(self, tmp_path):
         graph_file = tmp_path / "c4.json"
         graph_file.write_text(dump_graph_json(named_graph("cycle", 4)))

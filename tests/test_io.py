@@ -7,10 +7,12 @@ from weakiasi import (
     IasiLabeling,
     InvalidEdgeError,
     IsolatedVertexError,
+    TooLargeError,
     WeakIasiError,
     build_graph,
     named_graph,
 )
+from weakiasi.graph import GRAPH_VERTEX_LIMIT
 from weakiasi.io import (
     dump_edge_list,
     dump_graph_json,
@@ -160,6 +162,26 @@ def test_huge_vertex_count_fails_before_allocating(load):
     assert exc.value.vertex == 1
     with pytest.raises(InvalidEdgeError):
         load([(0, 1), (3, 3)])
+
+
+# a perfect matching on the first n above the bound: adj[v] is as wide as v's
+# partner id, so building it would take about n * n / 16 bytes
+ABOVE = GRAPH_VERTEX_LIMIT + 2
+MATCHING = [(2 * i, 2 * i + 1) for i in range(ABOVE // 2)]
+
+
+@pytest.mark.parametrize(
+    "load",
+    [
+        lambda: build_graph(ABOVE, MATCHING),
+        lambda: parse_edge_list(f"{ABOVE} {len(MATCHING)}\n" + "".join(f"{u} {v}\n" for u, v in MATCHING)),
+    ],
+    ids=["build_graph", "parse_edge_list"],
+)
+def test_sparse_graph_above_the_vertex_bound_is_refused(load):
+    with pytest.raises(TooLargeError) as exc:
+        load()
+    assert (exc.value.what, exc.value.n, exc.value.limit) == ("graph", ABOVE, GRAPH_VERTEX_LIMIT)
 
 
 def test_autodetect():

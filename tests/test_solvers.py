@@ -266,8 +266,13 @@ class TestMatching:
 
     @pytest.mark.parametrize("n", range(3, 25))
     def test_cycle_and_path_formula(self, n):
-        assert matching_number(cycle_graph(n)) == n // 2
-        assert matching_number(path_graph(n)) == n // 2
+        # nu = n // 2 on both. The path 1..n-1 keeps nu exactly when n is odd,
+        # so vertex 0 stays unmatched on an odd path or cycle and is matched
+        # to 1 on an even one, and the rest is a path: edges (i, i + 1) from
+        # n % 2 in steps of 2
+        want = (n // 2, tuple((i, i + 1) for i in range(n % 2, n - 1, 2)))
+        assert maximum_matching(cycle_graph(n)) == want
+        assert maximum_matching(path_graph(n)) == want
 
     def test_random_graphs_match_brute_force(self):
         rng = random.Random(33)
@@ -285,7 +290,7 @@ class TestMatching:
         want = (12, tuple((2 * i, 2 * i + 1) for i in range(12)))
         assert maximum_matching(complete_graph(24)) == want
 
-    @pytest.mark.parametrize("left, right", [(12, 12), (10, 14)])
+    @pytest.mark.parametrize("left, right", [(12, 12), (10, 14), (8, 16)])
     def test_complete_bipartite_at_the_limit(self, left, right):
         # K_{a,b}, a <= b: nu = a, and K_{a-1,b} has nu = a - 1, so each left
         # vertex i is matched, to the smallest free right vertex a + i
@@ -532,11 +537,14 @@ def test_matching_witness_of_disconnected_graph_with_interleaved_ids():
 def test_matching_and_independence_match_networkx():
     nx = pytest.importorskip("networkx")
     rng = random.Random(1402)
-    for _ in range(30):
-        g = random_connected_graph(rng, rng.randint(2, 14), extra=rng.choice([0.1, 0.3, 0.6]))
+    graphs = [random_connected_graph(rng, rng.randint(2, 14), extra=rng.choice([0.1, 0.3, 0.6])) for _ in range(30)]
+    graphs += [random_connected_graph(rng, n, extra=rng.choice([0.1, 0.3, 0.6])) for n in range(15, 25)]
+    for g in graphs:
         ref = nx.Graph(g.edges)
-        nu = len(nx.max_weight_matching(ref, maxcardinality=True))
-        assert matching_number(g) == nu
+        nu, edges = maximum_matching(g)
+        assert nu == len(nx.max_weight_matching(ref, maxcardinality=True))
+        # the witness is a matching of that size
+        assert len({v for e in edges for v in e}) == 2 * nu and set(edges) <= set(g.edges)
         _, alpha = nx.max_weight_clique(nx.complement(ref), weight=None)
         assert independence_number(g)[0] == alpha
 

@@ -7,8 +7,9 @@ Each SRC is a directory that holds the ``weakiasi`` package, such as the
 same graphs: every graph with n = 2..6 and no isolated vertex, then the
 distinct pool graphs of ``perfbench/corpus.py``. Per graph the solver answer
 cache is cleared and a digest is kept of the ``repr`` of φ, max cut, α, β, χ
-and ν (n <= 24), and of the ``run_all_checkers`` JSON (n <= 6). One line per
-solver gives the graphs compared, how many differ and the first that does.
+and ν, or of ``refused: <message>`` where a solver raises ``TooLargeError``,
+and of the ``run_all_checkers`` JSON (n <= 6). One line per solver gives the
+graphs compared, how many differ and the first that does.
 Then each command line of ``INVOCATIONS`` runs once per tree, each in its own
 ``python -m weakiasi.cli`` process in a temporary working directory that
 holds ``FILES``. One line gives the command lines compared and how many
@@ -30,7 +31,15 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SOLVERS = ("phi", "max_cut", "alpha", "beta", "chi", "nu", "checkers")
+SOLVE = {
+    "phi": "sparing_number_exact",
+    "max_cut": "max_bipartite_subgraph",
+    "alpha": "independence_number",
+    "beta": "vertex_cover_number",
+    "chi": "chromatic_number",
+    "nu": "maximum_matching",
+}
+SOLVERS = (*SOLVE, "checkers")
 
 FILES = {
     "c4.txt": "4 4\n0 1\n0 3\n1 2\n2 3\n",
@@ -81,7 +90,7 @@ def _digests(src: str) -> None:
     sys.path[:0] = [src, str(ROOT / "tests"), str(ROOT / "perfbench")]
     import corpus
     from helpers import all_graphs
-    from weakiasi import build_graph, solvers
+    from weakiasi import TooLargeError, build_graph, solvers
     from weakiasi.theorems import run_all_checkers
 
     graphs = [(str(g.edges), g) for n in range(2, 7) for g in all_graphs(n, connected=False)]
@@ -92,15 +101,12 @@ def _digests(src: str) -> None:
     graphs += [(name, build_graph(n, edges)) for (n, edges), name in pool.items()]
     for name, g in graphs:
         solvers._per_component.cache_clear()
-        answers = {
-            "phi": solvers.sparing_number_exact(g),
-            "max_cut": solvers.max_bipartite_subgraph(g),
-            "alpha": solvers.independence_number(g),
-            "beta": solvers.vertex_cover_number(g),
-            "chi": solvers.chromatic_number(g),
-            "nu": solvers.maximum_matching(g) if g.n <= 24 else None,
-        }
-        answers = {k: repr(v) for k, v in answers.items() if v is not None}
+        answers = {}
+        for solver, solve in SOLVE.items():
+            try:
+                answers[solver] = repr(getattr(solvers, solve)(g))
+            except TooLargeError as exc:
+                answers[solver] = f"refused: {exc}"
         if g.n <= 6:
             answers["checkers"] = json.dumps([r.to_json_dict() for r in run_all_checkers(g)], sort_keys=True)
         digests = {k: hashlib.sha256(v.encode()).hexdigest()[:16] for k, v in answers.items()}
