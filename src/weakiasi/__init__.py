@@ -44,10 +44,8 @@ from .labeling import (
     verify_iasi,
 )
 from .solvers import (
-    bipartization_number,
     chromatic_number,
     independence_number,
-    matching_number,
     max_bipartite_subgraph,
     maximum_matching,
     sparing_number_exact,
@@ -68,7 +66,6 @@ __all__ = [
     "TooLargeError",
     "UnknownNameError",
     "WeakIasiError",
-    "bipartization_number",
     "build_graph",
     "chromatic_number",
     "complete_graph",
@@ -78,7 +75,6 @@ __all__ = [
     "decompose_into_cycles",
     "independence_number",
     "make_label",
-    "matching_number",
     "max_bipartite_subgraph",
     "maximum_matching",
     "mono_indexed_edges",

@@ -115,6 +115,12 @@ def by_vertex_id(mapping: Mapping, what: str) -> dict:
     return out
 
 
+def _refuse_above_limit(vertices: int) -> None:
+    """The one vertex-count bound, which each family checks before listing any edge."""
+    if vertices > GRAPH_VERTEX_LIMIT:
+        raise TooLargeError("graph", vertices, GRAPH_VERTEX_LIMIT)
+
+
 def build_graph(
     n: int,
     edges: Iterable[tuple[int, int]],
@@ -125,7 +131,9 @@ def build_graph(
     Edges are normalized to ``u < v``. Raises ``ValueError`` if ``n`` or an id
     is not an ``int``, ``InvalidEdgeError`` on loops, out-of-range ids, or
     duplicates, ``IsolatedVertexError`` if any vertex ends up with degree 0,
-    and ``TooLargeError`` above ``GRAPH_VERTEX_LIMIT`` vertices.
+    and ``TooLargeError`` above ``GRAPH_VERTEX_LIMIT`` vertices. ``names``,
+    if not ``None``, must be a mapping (see ``by_vertex_id``) of existing
+    vertices to ``str`` aliases; anything else raises ``ValueError``.
     """
     # type() rather than isinstance(): True and False are ints too
     if type(n) is not int:
@@ -151,15 +159,18 @@ def build_graph(
         # the scan stops within len(touched) + 1 ids and nothing is allocated
         # per vertex before this check, since n may come from hostile input
         raise IsolatedVertexError(next(v for v in range(n) if v not in touched))
-    if n > GRAPH_VERTEX_LIMIT:
-        raise TooLargeError("graph", n, GRAPH_VERTEX_LIMIT)
+    _refuse_above_limit(n)
     normalized.sort()
     adj = [0] * n
     for u, v in normalized:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    name_map = {v: str(alias) for v, alias in by_vertex_id(names or {}, "name").items()}
-    for v in name_map:
+    if not (names is None or isinstance(names, Mapping)):
+        raise ValueError(f"names must be a mapping of vertex ids to strings, got {type(names).__name__}")
+    name_map = by_vertex_id({} if names is None else names, "name")
+    for v, alias in name_map.items():
+        if type(alias) is not str:
+            raise ValueError(f"names must be strings, got {alias!r}")
         if not (0 <= v < n):
             raise ValueError(f"name refers to unknown vertex {v}")
     return Graph(n=n, edges=tuple(normalized), adj=tuple(adj), names=name_map)
@@ -207,18 +218,21 @@ def _mycielskian_of_cycle(k: int) -> Graph:
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle(n) requires n >= 3")
+    _refuse_above_limit(n)
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path_graph(n: int) -> Graph:
     if n < 2:
         raise ValueError("path(n) requires n >= 2")
+    _refuse_above_limit(n)
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def complete_graph(n: int) -> Graph:
     if n < 2:
         raise ValueError("complete(n) requires n >= 2")
+    _refuse_above_limit(n)
     return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
@@ -226,6 +240,7 @@ def star_graph(n: int) -> Graph:
     """Star with a center and n leaves (n + 1 vertices)."""
     if n < 1:
         raise ValueError("star(n) requires n >= 1")
+    _refuse_above_limit(n + 1)
     return build_graph(n + 1, [(0, i) for i in range(1, n + 1)])
 
 

@@ -55,14 +55,7 @@ def graph_from_json_dict(data: Mapping) -> Graph:
         edges = [(u, v) for u, v in data["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f'graph JSON needs "n" and "edges": {exc}') from None
-    names = data.get("names")
-    names = {} if names is None else names
-    if not isinstance(names, Mapping):
-        raise ValueError('graph JSON "names" must be an object')
-    for alias in names.values():
-        if type(alias) is not str:
-            raise ValueError(f"graph JSON names must be strings, got {alias!r}")
-    return build_graph(n, edges, names)
+    return build_graph(n, edges, data.get("names"))
 
 
 def dump_graph_json(graph: Graph) -> str:

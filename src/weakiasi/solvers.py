@@ -114,6 +114,12 @@ def max_bipartite_subgraph(graph: Graph) -> BipartizationCertificate:
     the reported parts. Among optimal cuts the lexicographically smallest
     removed-edge list wins, with the lowest vertex of each component on
     side 0. ``_max_cut_side`` finds each component's side 1.
+
+    The bipartization number m - b is at most the sparing number: phi >= m - b.
+    For an independent set I the edges touching I are exactly the cut
+    (I, V - I), so m - phi is the largest cut with an independent side, and no
+    cut exceeds b. Equality holds iff some maximum cut has an independent
+    side; the Durer graph (phi 6, m - b 4) shows the gap.
     """
     _require(graph, SOLVER_VERTEX_LIMIT, "max-cut solver")
     side1 = sum(_per_component(graph, _max_cut_side))
@@ -123,18 +129,6 @@ def max_bipartite_subgraph(graph: Graph) -> BipartizationCertificate:
     return BipartizationCertificate(
         b=graph.m - len(removed), removed_edges=removed, bipartition=(part0, part1)
     )
-
-
-def bipartization_number(graph: Graph) -> int:
-    """Minimum number of edge removals leaving a bipartite graph: m - b.
-
-    It is at most the sparing number: phi >= m - b. For an independent set I
-    the edges touching I are exactly the cut (I, V - I), so m - phi is the
-    largest cut with an independent side, and no cut exceeds b. Equality holds
-    iff some maximum cut has an independent side; the Durer graph (phi 6,
-    m - b 4) shows the gap.
-    """
-    return graph.m - max_bipartite_subgraph(graph).b
 
 
 def _max_cut_side(graph: Graph, members: int) -> int:
@@ -158,8 +152,7 @@ def _max_cut_side(graph: Graph, members: int) -> int:
     ``_local_search_side``, which cuts at least m/2 edges.
     """
     adj, m = graph.adj, graph.m
-    low = (members & -members).bit_length() - 1
-    first, incident = {low: None}, [0] * graph.n
+    first, incident = {}, [0] * graph.n
     for i, e in enumerate(graph.edges):
         if members >> e[0] & 1:
             for v in e:
@@ -270,10 +263,6 @@ def maximum_matching(graph: Graph) -> tuple[int, tuple[Edge, ...]]:
     _require(graph, MATCHING_VERTEX_LIMIT, "matching solver")
     matched = sorted(e for edges in _per_component(graph, _matching_component) for e in edges)
     return len(matched), tuple(matched)
-
-
-def matching_number(graph: Graph) -> int:
-    return maximum_matching(graph)[0]
 
 
 def _matching_component(graph: Graph, members: int) -> tuple[Edge, ...]:

@@ -18,8 +18,8 @@ from .labeling import construct_labeling
 from .solvers import (
     chromatic_number,
     independence_number,
-    matching_number,
     max_bipartite_subgraph,
+    maximum_matching,
     sparing_number_exact,
     vertex_cover_number,
 )
@@ -95,7 +95,7 @@ def check_matching_formula(graph: Graph) -> TheoremReport:
     if not _path_or_cycle(graph):
         return _not_applicable("matching-formula", inputs, "graph is a path or a cycle")
     try:
-        nu = matching_number(graph)
+        nu = maximum_matching(graph)[0]
     except TooLargeError as exc:
         return _over_limit("matching-formula", inputs, exc)
     half = (graph.n + 1) // 2
@@ -164,7 +164,7 @@ def check_odd_cycle_decomposition(graph: Graph) -> TheoremReport:
     inputs = _describe(graph)
     try:
         cycles = decompose_into_cycles(graph)
-        nu = matching_number(graph)
+        nu = maximum_matching(graph)[0]
     except NotEulerianError as exc:
         return _not_applicable(
             "odd-cycle-decomposition",

@@ -19,15 +19,14 @@ import itertools
 import random
 
 from weakiasi import (
-    bipartization_number,
     build_graph,
     chromatic_number,
     complete_graph,
     construct_labeling,
     cycle_graph,
     independence_number,
-    matching_number,
     max_bipartite_subgraph,
+    maximum_matching,
     named_graph,
     path_graph,
     sparing_number_exact,
@@ -72,7 +71,7 @@ def test_criterion_01_named_sparing_table():
             problems.append(f"{name}: phi={phi}, expected {want}")
     durer = named_graph("durer")
     phi_durer = sparing_number_exact(durer).phi
-    removal_durer = bipartization_number(durer)
+    removal_durer = durer.m - max_bipartite_subgraph(durer).b
     if removal_durer != 4:
         problems.append(f"durer: bipartization={removal_durer}, expected 4")
     mismatch_flag = phi_durer != removal_durer
@@ -143,7 +142,7 @@ def test_criterion_04_path_cycle_formula_sweeps():
             problems.append(f"cycle({n}): chi - phi != 2")
         if chromatic_number(path)[0] - phi_p != 2:
             problems.append(f"path({n}): chi - phi != 2")
-        if phi_c != (n + 1) // 2 - matching_number(cycle):
+        if phi_c != (n + 1) // 2 - maximum_matching(cycle)[0]:
             problems.append(f"cycle({n}): matching formula")
     report(4, "path/cycle formula sweeps 3..20", not problems, "" if problems else "54 identities checked")
 

@@ -6,6 +6,7 @@ from weakiasi import (
     InvalidEdgeError,
     IsolatedVertexError,
     NotEulerianError,
+    TooLargeError,
     UnknownNameError,
     build_graph,
     complete_graph,
@@ -18,6 +19,7 @@ from weakiasi import (
     star_graph,
 )
 
+from weakiasi import graph
 from weakiasi.solvers import BipartizationCertificate
 
 from helpers import (
@@ -115,6 +117,16 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match=f"^name refers to unknown vertex {vertex}$"):
             build_graph(3, [(0, 1), (1, 2)], names={0: "a", vertex: "x"})
 
+    @pytest.mark.parametrize("names", [[], ["a", "b"], (), 0, False, "ab"])
+    def test_names_that_are_not_a_mapping_rejected(self, names):
+        with pytest.raises(ValueError, match="^names must be a mapping"):
+            build_graph(2, [(0, 1)], names=names)
+
+    @pytest.mark.parametrize("alias", [5, None, True, b"a", ["a"]])
+    def test_alias_that_is_not_a_string_rejected(self, alias):
+        with pytest.raises(ValueError, match="names must be strings"):
+            build_graph(2, [(0, 1)], names={0: "a", 1: alias})
+
     def test_adjacency_matches_edges(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         for u in range(4):
@@ -192,6 +204,21 @@ class TestNamedGraphs:
     def test_family_below_its_smallest_size_rejected(self, build, size, message):
         with pytest.raises(ValueError, match=message):
             build(size)
+
+    @pytest.mark.parametrize("build,leaves", [(cycle_graph, 0), (path_graph, 0), (complete_graph, 0), (star_graph, 1)])
+    def test_family_above_the_vertex_bound_refused_before_its_edges(self, build, leaves, monkeypatch):
+        # star(n) has n + 1 vertices; the bound is read at call time, and a
+        # family above it never reaches build_graph
+        monkeypatch.setattr(graph, "GRAPH_VERTEX_LIMIT", 64)
+        assert build(64 - leaves).n == 64
+
+        def refuse(*args):
+            raise AssertionError("build_graph called above the vertex bound")
+
+        monkeypatch.setattr(graph, "build_graph", refuse)
+        with pytest.raises(TooLargeError) as exc:
+            build(65 - leaves)
+        assert (exc.value.what, exc.value.n, exc.value.limit) == ("graph", 65, 64)
 
     def test_catalog(self):
         assert named_catalog() == {

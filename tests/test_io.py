@@ -99,6 +99,16 @@ def test_graph_json_names_must_be_strings(alias):
         parse_graph_json(f'{{"n": 2, "edges": [[0, 1]], "names": {{"0": {alias}}}}}')
 
 
+@pytest.mark.parametrize("names", ["[]", "0", "false", '["a", "b"]'])
+def test_graph_json_names_must_be_an_object(names):
+    with pytest.raises(ValueError, match="names must be a mapping"):
+        parse_graph_json(f'{{"n": 2, "edges": [[0, 1]], "names": {names}}}')
+
+
+def test_graph_json_null_names_load():
+    assert parse_graph_json('{"n": 2, "edges": [[0, 1]], "names": null}').names == {}
+
+
 NON_CANONICAL_IDS = ["00", "01", " 1", "1 ", "+0", "-0", "1_0", "0x1", "\u0661", "", "1.0"]
 
 

@@ -10,8 +10,8 @@ from weakiasi import (
     build_graph,
     chromatic_number,
     independence_number,
-    matching_number,
     max_bipartite_subgraph,
+    maximum_matching,
     sparing_number_exact,
     vertex_cover_number,
 )
@@ -52,7 +52,7 @@ def test_alpha_plus_beta_is_n(g):
 
 @given(connected_graphs())
 def test_matching_at_most_half_the_vertices(g):
-    assert matching_number(g) <= g.n // 2
+    assert maximum_matching(g)[0] <= g.n // 2
 
 
 @given(connected_graphs())

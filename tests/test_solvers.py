@@ -7,7 +7,6 @@ import pytest
 
 from weakiasi import (
     TooLargeError,
-    bipartization_number,
     build_graph,
     chromatic_number,
     complete_graph,
@@ -15,7 +14,6 @@ from weakiasi import (
     construct_labeling,
     cycle_graph,
     independence_number,
-    matching_number,
     max_bipartite_subgraph,
     maximum_matching,
     mono_indexed_edges,
@@ -94,7 +92,7 @@ class TestSparing:
     def test_durer_reports_differ_from_removal_count(self):
         g = named_graph("durer")
         phi = sparing_number_exact(g).phi
-        removal = bipartization_number(g)
+        removal = g.m - max_bipartite_subgraph(g).b
         assert phi == 6 == brute_min_mono(g)
         assert removal == 4
         assert phi != removal
@@ -110,7 +108,7 @@ class TestSparing:
     def test_bipartite_graphs_are_zero(self):
         for g in (path_graph(6), cycle_graph(8), build_graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])):
             assert sparing_number_exact(g).phi == 0
-            assert bipartization_number(g) == 0
+            assert g.m - max_bipartite_subgraph(g).b == 0
 
     def test_disconnected_additive(self):
         two_c5 = build_graph(
@@ -251,10 +249,10 @@ class TestMaxCut:
 
 class TestMatching:
     def test_path(self):
-        assert matching_number(path_graph(4)) == 2
+        assert maximum_matching(path_graph(4))[0] == 2
 
     def test_odd_cycle(self):
-        assert matching_number(cycle_graph(5)) == 2
+        assert maximum_matching(cycle_graph(5))[0] == 2
 
     def test_petersen_perfect_matching(self):
         g = named_graph("petersen")
@@ -299,7 +297,7 @@ class TestMatching:
 
     def test_too_large(self):
         with pytest.raises(TooLargeError):
-            matching_number(cycle_graph(25))
+            maximum_matching(cycle_graph(25))
 
 
 class TestChromatic:
@@ -809,3 +807,72 @@ def test_threads_sharing_the_store_get_their_own_graphs_answers():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+# cubic-n32-i8 of perfbench/corpus.py, the cubic graph on which chi searched longest
+CUBIC_N32_I8 = (
+    (0, 4), (0, 29), (0, 30), (1, 11), (1, 21), (1, 27), (2, 15), (2, 22), (2, 23), (3, 11), (3, 14), (3, 18),
+    (4, 18), (4, 30), (5, 8), (5, 16), (5, 31), (6, 7), (6, 23), (6, 24), (7, 26), (7, 28), (8, 12), (8, 15),
+    (9, 11), (9, 17), (9, 24), (10, 13), (10, 29), (10, 31), (12, 14), (12, 20), (13, 19), (13, 20), (14, 16),
+    (15, 16), (17, 20), (17, 27), (18, 21), (19, 25), (19, 26), (21, 22), (22, 30), (23, 28), (24, 28), (25, 27),
+    (25, 29), (26, 31),
+)
+SEARCHES = {"place", "walk", "extend", "nu"}  # each kernel's recursive search step
+
+
+def search_calls(solve, graphs) -> int:
+    """Calls of the kernels' search steps while ``solve`` runs on each of ``graphs`` from an empty store."""
+    calls = 0
+
+    def on_call(frame, event, arg):
+        # returning None traces no lines, so only call events reach here
+        nonlocal calls
+        code = frame.f_code
+        if code.co_name in SEARCHES and code.co_filename == solvers.__file__:
+            calls += 1
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        for g in graphs:
+            solvers._per_component.cache_clear()
+            solve(g)
+    finally:
+        sys.settrace(previous)
+    return calls
+
+
+def _sparse_n32():
+    tree = random_connected_graph(random.Random(3), 32, extra=0)
+    return [path_graph(32), tree, random_connected_graph(random.Random(4), 32, extra=0.2)]
+
+
+# Search steps per solver over a fixed set of graphs, the same on CPython
+# 3.10 to 3.13. A budget only tightens: a change that lowers a total lowers
+# its budget with it, and one that raises a total fails here.
+SEARCH_BUDGETS = {
+    "max cut": (
+        max_bipartite_subgraph,
+        lambda: [
+            random_connected_graph(random.Random(1), 28, extra=0.35),
+            random_connected_graph(random.Random(2), 28, extra=0.6),
+            complete_graph(20),
+            build_graph(32, CUBIC_N32_I8),
+        ],
+        354_510,
+    ),
+    "chi": (chromatic_number, lambda: [build_graph(32, CUBIC_N32_I8)], 110_564),
+    "phi": (sparing_number_exact, _sparse_n32, 521),
+    "alpha": (independence_number, _sparse_n32, 465),
+}
+
+
+@pytest.mark.parametrize("solver", SEARCH_BUDGETS)
+def test_search_stays_within_its_budget(solver):
+    solve, graphs, budget = SEARCH_BUDGETS[solver]
+    previous = sys.gettrace()
+    calls = search_calls(solve, graphs())
+    assert sys.gettrace() is previous
+    # above 0, so a renamed search step cannot pass unseen
+    assert 0 < calls <= budget
+

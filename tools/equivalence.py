@@ -48,6 +48,8 @@ FILES = {
         {"n": 10, "edges": [e for i in range(5) for e in ((i, (i + 1) % 5), (i, i + 5), (i + 5, (i + 2) % 5 + 5))]}
     ),
     "k2.json": json.dumps({"n": 2, "edges": [[0, 1]]}),
+    "named.json": json.dumps({"n": 4, "edges": [[0, 1], [0, 3], [1, 2], [2, 3]], "names": {"0": "a", "2": 'c"d'}}),
+    "bad-names.json": json.dumps({"n": 2, "edges": [[0, 1]], "names": {"0": 5}}),
     "bad.txt": "3 2\n0 1\nx y\n",
     "broken.json": json.dumps({"vertex_labels": {"0": [0, 1], "1": [2, 3], "2": [7], "3": [9]}}),
     "malformed.json": json.dumps({"vertex_labels": {"0": 5}}),
@@ -65,6 +67,7 @@ INVOCATIONS = [tuple(line.split()) for line in (
     *(f"{c} --named {f} --param 5" for c in _ON_GRAPH for f in ("cycle", "path", "complete", "star")),
     "sparing --named CYCLE --param 5", "check-theorems --named cycle --param 26",
     "sparing --named petersen --labeling", "sparing --named cycle --param 5 --labeling --dot c5.dot",
+    "sparing --graph named.json --dot named.dot",
     *(f"sparing --named petersen --json-indent {k}" for k in (0, 4, 16, -5)),
     *(f"{c} --graph {f}" for c in _ON_GRAPH for f in ("c4.txt", "c4.json", "petersen.json")),
     "verify --graph petersen.json --labeling built.json", "verify --graph c4.json --labeling broken.json",
@@ -79,6 +82,7 @@ INVOCATIONS = [tuple(line.split()) for line in (
     # exit 1: input and limit errors
     "sparing --named heawood", "sparing --named cycle --param 40", "oracle --named petersen",
     *(f"{c} --named complete --param 1000" for c in _ON_GRAPH), "sparing --named star --param 32",
+    "sparing --graph bad-names.json",
     "sparing --named petersen --dot no-dir/out.dot", *(f"{c} --graph bad.txt" for c in _ON_GRAPH),
     "verify --graph bad.txt --labeling missing.json", "verify --graph k2.json --labeling hostile.json",
     *(f"verify --graph c4.json --labeling {f}" for f in ("c4.json", "malformed.json", "outside.json", "missing.json")),
