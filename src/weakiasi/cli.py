@@ -21,7 +21,7 @@ import time
 
 from . import __version__, io
 from .errors import TooLargeError, WeakIasiError
-from .graph import GRAPH_FAMILIES, Graph, degree_stats, named_catalog, named_graph
+from .graph import _FAMILIES, Graph, degree_stats, named_catalog, named_graph
 from .solvers import SOLVER_VERTEX_LIMIT, max_bipartite_subgraph, sparing_number_exact
 
 # theorems and oracle are imported only by the commands that call them
@@ -167,10 +167,11 @@ def _resolve_graph(named: str | None, param: int | None, graph_path: str | None)
     if graph_path is not None:
         return io.load_graph(graph_path), os.path.basename(graph_path)
     key = named.strip().lower()
-    if key in GRAPH_FAMILIES and param is not None:
+    if key in _FAMILIES and param is not None:
         # every --named command stops at the solver limit, so refuse a family
-        # member above it before building it: complete(n) has n(n-1)/2 edges
-        order = param + 1 if key == "star" else param
+        # member above it before building it: complete(n) has n(n-1)/2 edges,
+        # and a member has _FAMILIES[key][1] vertices beyond n
+        order = param + _FAMILIES[key][1]
         if order > SOLVER_VERTEX_LIMIT:
             raise TooLargeError(f"--named {key}", order, SOLVER_VERTEX_LIMIT)
     return named_graph(named, param), key if param is None else f"{key}({param})"

@@ -215,49 +215,57 @@ def _mycielskian_of_cycle(k: int) -> Graph:
     return build_graph(2 * k + 1, edges, names)
 
 
+# family -> (its least n, its vertices beyond n), the one statement of both
+_FAMILIES = {"cycle": (3, 0), "path": (2, 0), "complete": (2, 0), "star": (1, 1)}
+
+
+def _family_member(family: str, n, edges) -> Graph:
+    """``family``'s member ``n``, after the one check of ``n``; only then is ``edges()`` called.
+
+    ``ValueError`` if ``n`` is not an ``int`` (a ``bool`` is not one here) or
+    is below the family's least size, ``TooLargeError`` if the member has
+    more than ``GRAPH_VERTEX_LIMIT`` vertices.
+    """
+    if type(n) is not int:
+        raise ValueError(f"{family}(n) requires an integer n, got {n!r}")
+    least, extra = _FAMILIES[family]
+    if n < least:
+        raise ValueError(f"{family}(n) requires n >= {least}")
+    _refuse_above_limit(n + extra)
+    return build_graph(n + extra, edges())
+
+
 def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle(n) requires n >= 3")
-    _refuse_above_limit(n)
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return _family_member("cycle", n, lambda: [(i, (i + 1) % n) for i in range(n)])
 
 
 def path_graph(n: int) -> Graph:
-    if n < 2:
-        raise ValueError("path(n) requires n >= 2")
-    _refuse_above_limit(n)
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return _family_member("path", n, lambda: [(i, i + 1) for i in range(n - 1)])
 
 
 def complete_graph(n: int) -> Graph:
-    if n < 2:
-        raise ValueError("complete(n) requires n >= 2")
-    _refuse_above_limit(n)
-    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return _family_member("complete", n, lambda: [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def star_graph(n: int) -> Graph:
     """Star with a center and n leaves (n + 1 vertices)."""
-    if n < 1:
-        raise ValueError("star(n) requires n >= 1")
-    _refuse_above_limit(n + 1)
-    return build_graph(n + 1, [(0, i) for i in range(1, n + 1)])
+    return _family_member("star", n, lambda: [(0, i) for i in range(1, n + 1)])
 
 
-# name -> (builder, the parameter a family takes, or None for a fixed graph)
+# name -> builder, which takes n for a family
 _CORPUS = {
-    "petersen": (partial(_generalized_petersen, 5, 2), None),
-    "frucht": (partial(_lcf_graph, 12, _FRUCHT_LCF), None),
-    "grotzsch": (partial(_mycielskian_of_cycle, 5), None),
-    "durer": (partial(_generalized_petersen, 6, 2), None),
-    "dodecahedron": (partial(_generalized_petersen, 10, 2), None),
-    "cycle": (cycle_graph, "n >= 3"),
-    "path": (path_graph, "n >= 2"),
-    "complete": (complete_graph, "n >= 2"),
-    "star": (star_graph, "n >= 1 (n leaves, n + 1 vertices)"),
+    "petersen": partial(_generalized_petersen, 5, 2),
+    "frucht": partial(_lcf_graph, 12, _FRUCHT_LCF),
+    "grotzsch": partial(_mycielskian_of_cycle, 5),
+    "durer": partial(_generalized_petersen, 6, 2),
+    "dodecahedron": partial(_generalized_petersen, 10, 2),
+    "cycle": cycle_graph,
+    "path": path_graph,
+    "complete": complete_graph,
+    "star": star_graph,
 }
-NAMED_GRAPHS = tuple(name for name, (_, parameter) in _CORPUS.items() if parameter is None)
-GRAPH_FAMILIES = tuple(name for name, (_, parameter) in _CORPUS.items() if parameter is not None)
+NAMED_GRAPHS = tuple(name for name in _CORPUS if name not in _FAMILIES)
+GRAPH_FAMILIES = tuple(_FAMILIES)
 
 
 def named_graph(name: str, param: int | None = None) -> Graph:
@@ -265,18 +273,18 @@ def named_graph(name: str, param: int | None = None) -> Graph:
 
     Fixed graphs: petersen, frucht, grotzsch, durer, dodecahedron.
     Parameterized families: cycle(n), path(n), complete(n), star(n).
+    Any other ``name``, a string or not, raises ``UnknownNameError``.
     """
-    key = name.strip().lower()
+    key = name.strip().lower() if isinstance(name, str) else None
     if key not in _CORPUS:
         raise UnknownNameError(name, tuple(_CORPUS))
-    build, parameter = _CORPUS[key]
-    if parameter is None:
+    if key not in _FAMILIES:
         if param is not None:
             raise ValueError(f"{key} does not take a parameter")
-        return build()
+        return _CORPUS[key]()
     if param is None:
         raise ValueError(f"{key}(n) requires a parameter")
-    return build(param)
+    return _CORPUS[key](param)
 
 
 def named_catalog() -> dict:
@@ -284,7 +292,11 @@ def named_catalog() -> dict:
     graphs = {name: named_graph(name) for name in NAMED_GRAPHS}
     return {
         "named": [{"name": name, "vertices": g.n, "edges": g.m} for name, g in graphs.items()],
-        "families": [{"name": name, "parameter": _CORPUS[name][1]} for name in GRAPH_FAMILIES],
+        # star, the one family with vertices beyond n, counts its leaves
+        "families": [
+            {"name": name, "parameter": f"n >= {least}" + (f" (n leaves, n + {extra} vertices)" if extra else "")}
+            for name, (least, extra) in _FAMILIES.items()
+        ],
     }
 
 

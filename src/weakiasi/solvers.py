@@ -439,17 +439,15 @@ def _max_weight_independent(graph: Graph, members: int, weight: tuple[int, ...])
     first, growing a clique from its free neighbours: the set holds at most
     one vertex of a clique, so each clique adds its largest W until the bound
     passes the incumbent. Only a strictly larger score replaces the
-    incumbent, so no cut loses the witness. With one weight the branch order
-    is the id order, whose first optimum is already the smallest set, so W
-    is the weight alone.
+    incumbent, so no cut loses the witness. In a component of one weight,
+    even inside a graph of several, the branch order is the id order, whose
+    first optimum is already the smallest set, so W is the weight alone.
     """
     adj, n = graph.adj, graph.n
-    heavy_first = [members]
-    if len(set(weight)) > 1:
-        groups: dict[int, int] = {}
-        for v in _bits(members):
-            groups[weight[v]] = groups.get(weight[v], 0) | 1 << v
-        heavy_first = [groups[w] for w in sorted(groups, reverse=True)]
+    groups: dict[int, int] = {}
+    for v in _bits(members):
+        groups[weight[v]] = groups.get(weight[v], 0) | 1 << v
+    heavy_first = [groups[w] for w in sorted(groups, reverse=True)]
     score = weight if len(heavy_first) == 1 else [w << n | 1 << (n - 1 - v) for v, w in enumerate(weight)]
     best_gain, best = -1, 0
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -181,6 +182,11 @@ class TestNamedGraphs:
         with pytest.raises(UnknownNameError):
             named_graph("heawood")
 
+    @pytest.mark.parametrize("name", [5, None, ["cycle"]])
+    def test_name_that_is_not_a_string_unknown(self, name):
+        with pytest.raises(UnknownNameError):
+            named_graph(name)
+
     def test_families(self):
         assert named_graph("cycle", 6).m == 6
         assert named_graph("path", 4).m == 3
@@ -219,6 +225,20 @@ class TestNamedGraphs:
         with pytest.raises(TooLargeError) as exc:
             build(65 - leaves)
         assert (exc.value.what, exc.value.n, exc.value.limit) == ("graph", 65, 64)
+
+    @pytest.mark.parametrize("n", [5.0, "5", True, None], ids=["float", "str", "bool", "None"])
+    @pytest.mark.parametrize("family", ["cycle", "path", "complete", "star"])
+    def test_family_parameter_that_is_not_an_integer_rejected(self, family, n, monkeypatch):
+        # True is an int to isinstance() and to "<": star(True) once built K2
+        def refuse(*args):
+            raise AssertionError("build_graph called with a non-integer family parameter")
+
+        monkeypatch.setattr(graph, "build_graph", refuse)
+        build = {"cycle": cycle_graph, "path": path_graph, "complete": complete_graph, "star": star_graph}[family]
+        with pytest.raises(ValueError, match=rf"^{family}\(n\) requires an integer n, got {re.escape(repr(n))}$"):
+            build(n)
+        with pytest.raises(ValueError):
+            named_graph(family, n)
 
     def test_catalog(self):
         assert named_catalog() == {

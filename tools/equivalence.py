@@ -81,6 +81,10 @@ INVOCATIONS = [tuple(line.split()) for line in (
     *(f"verify --graph c4.json --labeling {f}" for f in ("absent.json", ".")),
     # exit 1: input and limit errors
     "sparing --named heawood", "sparing --named cycle --param 40", "oracle --named petersen",
+    # each family's least size, and a parameter given where the solver limit does not apply
+    *(f"sparing --named {f} --param {n}" for f, n in (("cycle", 2), ("path", 1), ("complete", 1), ("star", 0))),
+    "check-theorems --named path --param 1", "oracle --named cycle --param 2", "sparing --named star --param -3",
+    "sparing --named petersen --param 40", "sparing --named heawood --param 40",
     *(f"{c} --named complete --param 1000" for c in _ON_GRAPH), "sparing --named star --param 32",
     "sparing --graph bad-names.json",
     "sparing --named petersen --dot no-dir/out.dot", *(f"{c} --graph bad.txt" for c in _ON_GRAPH),
