@@ -100,9 +100,11 @@ def _plain_decimal(text) -> int:
 def by_vertex_id(mapping: Mapping, what: str) -> dict:
     """``mapping`` re-keyed by vertex id, from ``int`` keys or canonical decimal strings.
 
-    Any other key raises ``ValueError`` (see ``_plain_decimal``), and so do
-    two keys naming one vertex.
+    Raises ``ValueError`` if ``mapping`` is not a ``Mapping``, for any other
+    key (see ``_plain_decimal``), and for two keys naming one vertex.
     """
+    if not isinstance(mapping, Mapping):
+        raise ValueError(f"{what}s must be a mapping of vertex ids, got {type(mapping).__name__}")
     out: dict = {}
     for key, value in mapping.items():
         try:
@@ -129,11 +131,12 @@ def build_graph(
     """Validate and build a graph on vertices ``0..n-1``.
 
     Edges are normalized to ``u < v``. Raises ``ValueError`` if ``n`` or an id
-    is not an ``int``, ``InvalidEdgeError`` on loops, out-of-range ids, or
-    duplicates, ``IsolatedVertexError`` if any vertex ends up with degree 0,
-    and ``TooLargeError`` above ``GRAPH_VERTEX_LIMIT`` vertices. ``names``,
-    if not ``None``, must be a mapping (see ``by_vertex_id``) of existing
-    vertices to ``str`` aliases; anything else raises ``ValueError``.
+    is not an ``int`` or an edge is not a pair, ``InvalidEdgeError`` on loops,
+    out-of-range ids, or duplicates, ``IsolatedVertexError`` if any vertex
+    ends up with degree 0, and ``TooLargeError`` above ``GRAPH_VERTEX_LIMIT``
+    vertices. ``names``, if not ``None``, must be a mapping (see
+    ``by_vertex_id``) of existing vertices to ``str`` aliases; anything else
+    raises ``ValueError``.
     """
     # type() rather than isinstance(): True and False are ints too
     if type(n) is not int:
@@ -142,7 +145,11 @@ def build_graph(
         raise ValueError("vertex count must be non-negative")
     normalized: list[Edge] = []
     seen: set[Edge] = set()
-    for u, v in edges:
+    for edge in edges:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise ValueError(f"an edge must be a pair of vertex ids, got {edge!r}") from None
         if type(u) is not int or type(v) is not int:
             raise ValueError(f"edge endpoints must be integers, got {[u, v]!r}")
         if not (0 <= u < n) or not (0 <= v < n):
@@ -165,8 +172,6 @@ def build_graph(
     for u, v in normalized:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    if not (names is None or isinstance(names, Mapping)):
-        raise ValueError(f"names must be a mapping of vertex ids to strings, got {type(names).__name__}")
     name_map = by_vertex_id({} if names is None else names, "name")
     for v, alias in name_map.items():
         if type(alias) is not str:

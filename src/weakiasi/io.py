@@ -47,17 +47,6 @@ def dump_edge_list(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_from_json_dict(data: Mapping) -> Graph:
-    if not isinstance(data, Mapping):
-        raise ValueError("graph JSON must be an object")
-    try:
-        n = data["n"]
-        edges = [(u, v) for u, v in data["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f'graph JSON needs "n" and "edges": {exc}') from None
-    return build_graph(n, edges, data.get("names"))
-
-
 def dump_graph_json(graph: Graph) -> str:
     """Canonical single-line JSON: sorted keys, edges sorted with u < v."""
     out: dict = {"n": graph.n, "edges": [list(e) for e in graph.edges]}
@@ -90,7 +79,11 @@ def _parse_json(text: str):
 
 
 def parse_graph_json(text: str) -> Graph:
-    return graph_from_json_dict(_parse_json(text))
+    """A graph from JSON ``{"n": …, "edges": [[u, v], …], "names": {…}}``; ``build_graph`` checks the values."""
+    data = _parse_json(text)
+    if not isinstance(data, dict) or "n" not in data or not isinstance(data.get("edges"), list):
+        raise ValueError('graph JSON must be an object with "n" and an "edges" array')
+    return build_graph(data["n"], data["edges"], data.get("names"))
 
 
 def load_graph_text(text: str) -> Graph:
@@ -118,7 +111,11 @@ def dump_labeling_json(labeling: IasiLabeling) -> str:
 
 
 def parse_labeling_json(text: str) -> IasiLabeling:
-    return IasiLabeling.from_json_dict(_parse_json(text))
+    """A labeling from JSON ``{"vertex_labels": {"v": [x, …], …}}``; ``IasiLabeling`` checks the labels."""
+    data = _parse_json(text)
+    if not isinstance(data, dict) or not isinstance(data.get("vertex_labels"), dict):
+        raise ValueError('labeling JSON must contain a "vertex_labels" object')
+    return IasiLabeling(data["vertex_labels"])
 
 
 def load_labeling(path: str) -> IasiLabeling:

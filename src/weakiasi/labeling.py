@@ -25,8 +25,15 @@ SUMSET_WORK_LIMIT = 2_000_000
 
 
 def make_label(values: Iterable[int]) -> Label:
-    """Normalize to a sorted, duplicate-free label; rejects empty, negative and non-``int``."""
-    values = tuple(values)
+    """Normalize to a sorted, duplicate-free label.
+
+    Raises ``ValueError`` if ``values`` is not iterable, or is empty, or holds
+    a negative number or anything that is not an ``int``.
+    """
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValueError(f"a set-label must be a list of integers, got {values!r}") from None
     # type() rather than isinstance(): bool is a subclass of int
     bad = [x for x in values if type(x) is not int]
     if bad:
@@ -50,12 +57,20 @@ def sumset(a: Iterable[int], b: Iterable[int]) -> Label:
 
 
 class IasiLabeling(namedtuple("IasiLabeling", "vertex_labels")):
-    """Vertex set-labels, keyed by vertex id, each normalized by ``make_label``."""
+    """Vertex set-labels, keyed by vertex id (see ``by_vertex_id``), each normalized by ``make_label``.
+
+    A label that ``make_label`` refuses raises ``ValueError`` naming its vertex.
+    """
 
     __slots__ = ()
 
     def __new__(cls, vertex_labels: Mapping) -> IasiLabeling:
-        normalized = {v: make_label(lbl) for v, lbl in by_vertex_id(vertex_labels, "label").items()}
+        normalized = {}
+        for v, lbl in by_vertex_id(vertex_labels, "label").items():
+            try:
+                normalized[v] = make_label(lbl)
+            except ValueError as exc:
+                raise ValueError(f"label of vertex {v}: {exc}") from None
         return super().__new__(cls, normalized)
 
     # namedtuple's own _make calls tuple.__new__, skipping the checks in __new__; its _replace
@@ -71,19 +86,6 @@ class IasiLabeling(namedtuple("IasiLabeling", "vertex_labels")):
             raise MissingLabelError(v) from None
 
     to_json_dict = _to_json
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "IasiLabeling":
-        if not isinstance(data, Mapping):
-            raise ValueError("labeling JSON must be an object")
-        raw = data.get("vertex_labels")
-        if not isinstance(raw, Mapping):
-            raise ValueError('labeling JSON must contain a "vertex_labels" object')
-        for k, v in raw.items():
-            # type() rather than isinstance(): JSON true/false decode to bool, a subclass of int
-            if not isinstance(v, list) or not all(type(x) is int for x in v):
-                raise ValueError(f"label of vertex {k} must be a list of integers, got {v!r}")
-        return cls(raw)
 
 
 class LabelingReport(namedtuple("LabelingReport", "vertex_injective edge_injective weak vertex_collision "

@@ -17,7 +17,6 @@ from weakiasi.io import (
     dump_edge_list,
     dump_graph_json,
     dump_labeling_json,
-    graph_from_json_dict,
     load_graph,
     load_graph_text,
     parse_edge_list,
@@ -161,9 +160,9 @@ HUGE = 10**12
     [
         lambda edges: build_graph(HUGE, edges),
         lambda edges: parse_edge_list(f"{HUGE} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)),
-        lambda edges: graph_from_json_dict({"n": HUGE, "edges": edges}),
+        lambda edges: parse_graph_json(json.dumps({"n": HUGE, "edges": edges})),
     ],
-    ids=["build_graph", "parse_edge_list", "graph_from_json_dict"],
+    ids=["build_graph", "parse_edge_list", "parse_graph_json"],
 )
 def test_huge_vertex_count_fails_before_allocating(load):
     # n > 2m always leaves a vertex untouched; [0] * n here would need terabytes
