@@ -131,7 +131,8 @@ def build_graph(
     """Validate and build a graph on vertices ``0..n-1``.
 
     Edges are normalized to ``u < v``. Raises ``ValueError`` if ``n`` or an id
-    is not an ``int`` or an edge is not a pair, ``InvalidEdgeError`` on loops,
+    is not an ``int``, ``edges`` is not iterable or an edge is not a pair,
+    ``InvalidEdgeError`` on loops,
     out-of-range ids, or duplicates, ``IsolatedVertexError`` if any vertex
     ends up with degree 0, and ``TooLargeError`` above ``GRAPH_VERTEX_LIMIT``
     vertices. ``names``, if not ``None``, must be a mapping (see
@@ -143,6 +144,8 @@ def build_graph(
         raise ValueError(f'vertex count "n" must be an integer, got {n!r}')
     if n < 0:
         raise ValueError("vertex count must be non-negative")
+    if not isinstance(edges, Iterable):
+        raise ValueError(f"edges must be an iterable of pairs, got {type(edges).__name__}")
     normalized: list[Edge] = []
     seen: set[Edge] = set()
     for edge in edges:

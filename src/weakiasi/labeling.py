@@ -24,16 +24,21 @@ Label = tuple[int, ...]
 SUMSET_WORK_LIMIT = 2_000_000
 
 
+def _listed(values, what: str) -> tuple:
+    """``values`` as a tuple; ``ValueError`` naming ``what`` if it is not iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValueError(f"{what} must be a list of integers, got {values!r}") from None
+
+
 def make_label(values: Iterable[int]) -> Label:
     """Normalize to a sorted, duplicate-free label.
 
     Raises ``ValueError`` if ``values`` is not iterable, or is empty, or holds
     a negative number or anything that is not an ``int``.
     """
-    try:
-        values = tuple(values)
-    except TypeError:
-        raise ValueError(f"a set-label must be a list of integers, got {values!r}") from None
+    values = _listed(values, "a set-label")
     # type() rather than isinstance(): bool is a subclass of int
     bad = [x for x in values if type(x) is not int]
     if bad:
@@ -127,8 +132,11 @@ def verify_iasi(graph: Graph, labeling: IasiLabeling) -> LabelingReport:
     labeled vertex the graph does not have, so a labeling made for another
     graph does not pass. Raises ``ValueError`` too when the edge sumsets need
     more than ``SUMSET_WORK_LIMIT`` additions (|f(u)| * |f(v)| summed over the
-    edges), before forming any of them.
+    edges), before forming any of them, and when ``labeling`` is not an
+    ``IasiLabeling``.
     """
+    if not isinstance(labeling, IasiLabeling):
+        raise ValueError(f"labeling must be an IasiLabeling, got {type(labeling).__name__}")
     extra = [v for v in labeling.vertex_labels if not 0 <= v < graph.n]
     if extra:
         raise ValueError(f"labeling labels vertex {min(extra)}, which the graph does not have")
@@ -162,7 +170,8 @@ def mono_indexed_edges(graph: Graph, labeling: IasiLabeling) -> tuple[Edge, ...]
     """Edges whose induced label is a singleton.
 
     Only meaningful for weak labelings; raises ``NotWeakError`` (with the
-    violating edge) when the weak condition fails.
+    violating edge) when the weak condition fails, and whatever
+    ``verify_iasi`` raises.
     """
     report = verify_iasi(graph, labeling)
     if not report.weak:
@@ -170,17 +179,26 @@ def mono_indexed_edges(graph: Graph, labeling: IasiLabeling) -> tuple[Edge, ...]
     return tuple(e for e in graph.edges if report.edge_indexing_numbers[e] == 1)
 
 
-@lru_cache(maxsize=None)
 def spread_values(count: int) -> tuple[int, ...]:
     """First ``count`` values of the greedy sequence with pairwise-distinct pair sums.
 
     Distinct sums over distinct pairs make every vertex label and every edge
     sumset distinct by construction, so labelings built from these values are
     injective without retries while keeping the integers small. Raises
-    ``TooLargeError`` for more than 128 values.
+    ``ValueError`` unless ``count`` is an ``int`` >= 0, and ``TooLargeError``
+    for more than 128 values.
     """
+    # type() rather than isinstance(): True would pass for 1
+    if type(count) is not int or count < 0:
+        raise ValueError(f"the number of values must be an integer >= 0, got {count!r}")
     if count > 128:  # the search grows about as count**3.5; the solvers stop at 32 vertices
         raise TooLargeError("labeling construction", count, 128)
+    return _spread_values(count)
+
+
+# behind spread_values' checks, so it keeps at most 129 answers
+@lru_cache(maxsize=None)
+def _spread_values(count: int) -> tuple[int, ...]:
     values: list[int] = []
     sums: set[int] = set()
     candidate = 0
@@ -194,7 +212,7 @@ def spread_values(count: int) -> tuple[int, ...]:
 
 def _vertex_set(graph: Graph, vertices: Iterable[int]) -> set[int]:
     """``vertices`` as a set of vertex ids of ``graph``; anything else raises ``ValueError``."""
-    chosen = tuple(vertices)
+    chosen = _listed(vertices, "a vertex set")
     for v in chosen:
         # type() rather than isinstance(): True would pass for vertex 1
         if type(v) is not int or not 0 <= v < graph.n:

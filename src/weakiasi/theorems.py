@@ -113,8 +113,11 @@ def check_union_formula(
     intersection consists of the edges present in both graphs after gluing,
     on the vertices they touch; shared vertices touching no shared edge are
     left out of it and listed in the witness, and with no shared edge the
-    intersection is the empty graph, whose phi is 0.
+    intersection is the empty graph, whose phi is 0. ``shared`` that is
+    neither a mapping nor ``None`` raises ``ValueError``.
     """
+    if not (shared is None or isinstance(shared, Mapping)):
+        raise ValueError(f"shared must be a mapping of vertex ids, got {type(shared).__name__}")
     shared = dict(shared or {})
     for a, b in shared.items():
         if type(a) is not int or type(b) is not int:

@@ -23,7 +23,7 @@ def cold_caches():
     depend on the order the suite runs in.
     """
     solvers._per_component.cache_clear()
-    labeling.spread_values.cache_clear()
+    labeling._spread_values.cache_clear()
     yield
     solvers._per_component.cache_clear()
-    labeling.spread_values.cache_clear()
+    labeling._spread_values.cache_clear()

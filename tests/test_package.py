@@ -3,24 +3,36 @@
 import copy
 import json
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import weakiasi
 from weakiasi import (
     IasiLabeling,
+    WeakIasiError,
+    build_graph,
+    complete_graph,
     construct_labeling,
     cycle_graph,
+    make_label,
     max_bipartite_subgraph,
+    mono_indexed_edges,
     named_graph,
+    path_graph,
+    pattern_labeling,
     sparing_number_exact,
+    spread_values,
+    star_graph,
+    sumset,
     verify_iasi,
 )
 from weakiasi.oracle import cross_validate
-from weakiasi.theorems import run_all_checkers
+from weakiasi.theorems import check_union_formula, run_all_checkers
 
 SRC = Path(weakiasi.__file__).resolve().parents[1]
 
@@ -147,3 +159,101 @@ def test_every_export_is_bound_at_import_and_comes_from_a_core_module():
     # the checkers and the oracle have one import path: their own modules
     with pytest.raises(AttributeError):
         weakiasi.run_all_checkers
+
+
+# Fuzzing: whatever Python value an argument gets, a public entry point returns
+# or raises ValueError or WeakIasiError, as the readers do in test_io.py. Ints
+# stay small, or lie far above every limit, so no example builds a large graph.
+
+small_ints = st.integers(-3, 12) | st.sampled_from([2**14 + 1, 10**12])
+scalars = st.none() | st.booleans() | small_ints | st.floats() | st.text(max_size=3)
+values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.tuples(inner, inner)
+    | st.frozensets(scalars, max_size=3)
+    | st.dictionaries(small_ints | st.text(max_size=2), inner, max_size=3),
+    max_leaves=8,
+)
+# near misses of valid arguments, which reach past the first checks
+edge_lists = st.lists(st.tuples(st.integers(-1, 3), st.integers(-1, 3)), max_size=4)
+label_maps = st.dictionaries(st.integers(-1, 3), st.lists(st.integers(-1, 9), max_size=3), max_size=4)
+arguments = values | edge_lists | label_maps | st.sampled_from(["cycle", "Petersen", " star "])
+
+P3 = build_graph(3, [(0, 1), (1, 2)])
+K2 = build_graph(2, [(0, 1)])
+ENTRY_POINTS = {
+    "build_graph": build_graph,
+    "build_graph edges": lambda a, b: build_graph(3, a),
+    "build_graph names": lambda a, b: build_graph(3, [(0, 1), (1, 2)], a),
+    "IasiLabeling": lambda a, b: IasiLabeling(a),
+    "make_label": lambda a, b: make_label(a),
+    "sumset": sumset,
+    "construct_labeling": lambda a, b: construct_labeling(P3, a),
+    "pattern_labeling": lambda a, b: pattern_labeling(P3, a),
+    "verify_iasi": lambda a, b: verify_iasi(P3, a),
+    "verify_iasi labeling": lambda a, b: verify_iasi(P3, IasiLabeling(a)),
+    "mono_indexed_edges": lambda a, b: mono_indexed_edges(P3, a),
+    "mono_indexed_edges labeling": lambda a, b: mono_indexed_edges(P3, IasiLabeling(a)),
+    "check_union_formula": lambda a, b: check_union_formula(P3, K2, shared=a),
+    "spread_values": lambda a, b: spread_values(a),
+    "named_graph": named_graph,
+    "cycle_graph": lambda a, b: cycle_graph(a),
+    "path_graph": lambda a, b: path_graph(a),
+    "complete_graph": lambda a, b: complete_graph(a),
+    "star_graph": lambda a, b: star_graph(a),
+}
+
+
+@pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+@settings(max_examples=30)  # 19 entry points: the whole test stays near 2 s
+@given(a=arguments, b=arguments)
+def test_fuzz_public_entry_points(call, a, b):
+    try:
+        call(a, b)
+    except (ValueError, WeakIasiError):
+        pass
+
+
+# refusals the fuzz test cannot see: a value that was accepted, and each message
+MALFORMED = {
+    "labels not a mapping": (lambda: IasiLabeling([1, 2]), "labels must be a mapping of vertex ids, got list"),
+    "label not a list": (
+        lambda: IasiLabeling({0: 5}),
+        "label of vertex 0: a set-label must be a list of integers, got 5",
+    ),
+    "label null": (lambda: IasiLabeling({"3": None}), "label of vertex 3: a set-label must be .*, got None"),
+    "make_label": (lambda: make_label(5), "a set-label must be a list of integers, got 5"),
+    "sumset": (lambda: sumset(5, [0]), "a set-label must be a list of integers, got 5"),
+    "edge not a pair": (lambda: build_graph(3, [5]), "an edge must be a pair of vertex ids, got 5"),
+    "edge a triple": (
+        lambda: build_graph(3, [(0, 1, 2)]),
+        r"an edge must be a pair of vertex ids, got \(0, 1, 2\)",
+    ),
+    "edges not iterable": (lambda: build_graph(3, 5), "edges must be an iterable of pairs, got int"),
+    "verify_iasi": (lambda: verify_iasi(P3, {0: [1]}), "labeling must be an IasiLabeling, got dict"),
+    "mono_indexed_edges": (
+        lambda: mono_indexed_edges(P3, {0: [1]}),
+        "labeling must be an IasiLabeling, got dict",
+    ),
+    "construct_labeling": (lambda: construct_labeling(P3, 5), "a vertex set must be a list of integers, got 5"),
+    "pattern_labeling": (lambda: pattern_labeling(P3, 5), "a vertex set must be a list of integers, got 5"),
+    "shared pairs": (
+        lambda: check_union_formula(P3, K2, shared=[(0, 0)]),
+        "shared must be a mapping .*, got list",
+    ),
+    "shared int": (lambda: check_union_formula(P3, K2, shared=5), "shared must be a mapping .*, got int"),
+    **{
+        f"spread_values {count!r}": (
+            lambda count=count: spread_values(count),
+            f"integer >= 0, got {re.escape(repr(count))}",
+        )
+        for count in (2.5, -1, [], True)
+    },
+}
+
+
+@pytest.mark.parametrize("call,message", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_argument_is_value_error(call, message):
+    with pytest.raises(ValueError, match=f"{message}$"):
+        call()
