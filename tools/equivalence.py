@@ -56,6 +56,11 @@ FILES = {
     "outside.json": json.dumps({"vertex_labels": {str(v): [v] for v in (0, 1, 2, 3, 9)}}),
     "missing.json": json.dumps({"vertex_labels": {"0": [0]}}),
     "hostile.json": json.dumps({"vertex_labels": {"0": list(range(0, 6000, 2)), "1": list(range(1, 6000, 2))}}),
+    "edge-int.json": json.dumps({"n": 2, "edges": [5]}),
+    "edge-triple.json": json.dumps({"n": 3, "edges": [[0, 1, 2]]}),
+    "no-edges.json": json.dumps({"n": 2}),
+    "labels-list.json": json.dumps({"vertex_labels": [[0], [1], [2], [3]]}),
+    "null-label.json": json.dumps({"vertex_labels": {"0": [0], "1": None, "2": [2], "3": [3]}}),
 }
 _ON_GRAPH = ("sparing", "check-theorems", "oracle")
 # built.json holds the labeling that "sparing --named petersen --labeling" builds in the same tree
@@ -90,6 +95,9 @@ INVOCATIONS = [tuple(line.split()) for line in (
     "sparing --named petersen --dot no-dir/out.dot", *(f"{c} --graph bad.txt" for c in _ON_GRAPH),
     "verify --graph bad.txt --labeling missing.json", "verify --graph k2.json --labeling hostile.json",
     *(f"verify --graph c4.json --labeling {f}" for f in ("c4.json", "malformed.json", "outside.json", "missing.json")),
+    # malformed input that only the JSON structure check or a constructor refuses
+    *(f"sparing --graph {f}" for f in ("edge-int.json", "edge-triple.json", "no-edges.json")),
+    *(f"verify --graph c4.json --labeling {f}" for f in ("labels-list.json", "null-label.json")),
 )]
 _TIMINGS = re.compile(r'"timings_ms": \{[^{}]*\}')
 
