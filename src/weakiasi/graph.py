@@ -132,12 +132,11 @@ def build_graph(
 
     Edges are normalized to ``u < v``. Raises ``ValueError`` if ``n`` or an id
     is not an ``int``, ``edges`` is not iterable or an edge is not a pair,
-    ``InvalidEdgeError`` on loops,
-    out-of-range ids, or duplicates, ``IsolatedVertexError`` if any vertex
-    ends up with degree 0, and ``TooLargeError`` above ``GRAPH_VERTEX_LIMIT``
-    vertices. ``names``, if not ``None``, must be a mapping (see
-    ``by_vertex_id``) of existing vertices to ``str`` aliases; anything else
-    raises ``ValueError``.
+    ``InvalidEdgeError`` on loops, out-of-range ids, or duplicates,
+    ``IsolatedVertexError`` if any vertex ends up with degree 0, and
+    ``TooLargeError`` above ``GRAPH_VERTEX_LIMIT`` vertices. ``names``, if
+    not ``None``, must be a mapping (see ``by_vertex_id``) of existing
+    vertices to ``str`` aliases; anything else raises ``ValueError``.
     """
     # type() rather than isinstance(): True and False are ints too
     if type(n) is not int:
