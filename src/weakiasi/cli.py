@@ -67,13 +67,6 @@ def _graph_source(parser) -> None:
     parser.add_argument("--param", metavar="N", type=int, help="Family parameter, e.g. cycle size.")
 
 
-# the output grows with the indent: 10**9 would ask for some 10**11 bytes
-_MAX_JSON_INDENT = 16
-_json_indent = _option(
-    "--json-indent", metavar="N", type=int, default=2, help=f"JSON indent, at most {_MAX_JSON_INDENT}; 0 for compact."
-)
-
-
 class _Command:
     """One subcommand: its help, its options, and the function that runs it."""
 
@@ -130,8 +123,6 @@ class _Main:
             raise
         if params.get("param") is not None and params.get("named") is None:
             parser.error("--param only applies to --named families")
-        if params.get("json_indent", 0) > _MAX_JSON_INDENT:
-            parser.error(f"--json-indent is at most {_MAX_JSON_INDENT}")
         return command.callback(**params)
 
     def main(self, args=None, prog_name=None, standalone_mode=True):
@@ -181,15 +172,13 @@ def _flag(value: bool) -> str:
     return str(value).lower()
 
 
-def _emit(payload: dict, json_indent: int, summary: str) -> None:
+def _emit(payload: dict, summary: str) -> None:
     # flushed here, so a closed stdout raises inside main's dispatch
-    print(json.dumps(payload, indent=json_indent if json_indent > 0 else None, sort_keys=True), flush=True)
+    print(json.dumps(payload, indent=2, sort_keys=True), flush=True)
     print(summary, file=sys.stderr, flush=True)
 
 
-def _report(
-    command: str, label: str, graph: Graph, results: dict, timings: dict, json_indent: int, summary: str
-) -> None:
+def _report(command: str, label: str, graph: Graph, results: dict, timings: dict, summary: str) -> None:
     report = {
         "command": command,
         "input": label,
@@ -197,7 +186,7 @@ def _report(
         "results": results,
         "timings_ms": {k: round(max(v, 0.0) * 1000.0, 3) for k, v in timings.items()},
     }
-    _emit(report, json_indent, summary)
+    _emit(report, summary)
 
 
 @main.command(
@@ -206,9 +195,8 @@ def _report(
     _option("--labeling", dest="include_labeling", action="store_true",
             help="Include the realizing labeling in the report."),
     _option("--dot", dest="dot_path", metavar="FILE", type=_path(False), help="Write DOT with mono edges classed."),
-    _json_indent,
 )
-def cmd_sparing(named, param, graph_path, include_labeling, dot_path, json_indent):
+def cmd_sparing(named, param, graph_path, include_labeling, dot_path):
     """Exact sparing number plus the edge bipartization number, with mismatch flag."""
     t0 = time.perf_counter()
     graph, label = _resolve_graph(named, param, graph_path)
@@ -235,11 +223,11 @@ def cmd_sparing(named, param, graph_path, include_labeling, dot_path, json_inden
         results["labeling"] = certificate.labeling.to_json_dict()
     timings = {"load": t1 - t0, "sparing": t2 - t1, "max_cut": t3 - t2, "solve": t3 - t1, "total": t3 - t0}
     summary = f"{label}: phi={certificate.phi} bipartization={removal_count} mismatch={_flag(mismatch)}"
-    _report("sparing", label, graph, results, timings, json_indent, summary)
+    _report("sparing", label, graph, results, timings, summary)
 
 
-@main.command("check-theorems", _graph_source, _json_indent)
-def cmd_check(named, param, graph_path, json_indent):
+@main.command("check-theorems", _graph_source)
+def cmd_check(named, param, graph_path):
     """Run every applicable relation checker on one graph."""
     from .theorems import run_all_checkers
     t0 = time.perf_counter()
@@ -253,18 +241,18 @@ def cmd_check(named, param, graph_path, json_indent):
     results = {"reports": [r.to_json_dict() for r in reports], "summary": tally}
     timings = {"load": t1 - t0, "check": t2 - t1, "total": t2 - t0}
     summary = f"{label}: holds={tally['holds']} fails={tally['fails']} not-applicable={tally['not-applicable']}"
-    _report("check-theorems", label, graph, results, timings, json_indent, summary)
+    _report("check-theorems", label, graph, results, timings, summary)
 
 
-@main.command("named", _json_indent)
-def cmd_named(json_indent):
+@main.command("named")
+def cmd_named():
     """Catalog of built-in graphs and families."""
     catalog = named_catalog()
-    _emit(catalog, json_indent, f"{len(catalog['named'])} named graphs, {len(catalog['families'])} families")
+    _emit(catalog, f"{len(catalog['named'])} named graphs, {len(catalog['families'])} families")
 
 
-@main.command("oracle", _graph_source, _json_indent)
-def cmd_oracle(named, param, graph_path, json_indent):
+@main.command("oracle", _graph_source)
+def cmd_oracle(named, param, graph_path):
     """Brute-force sparing number (n <= 7) cross-validated against the solver."""
     from .oracle import cross_validate
     t0 = time.perf_counter()
@@ -277,7 +265,7 @@ def cmd_oracle(named, param, graph_path, json_indent):
         f"{label}: oracle={validation.oracle_phi} solver={validation.solver_phi} "
         f"agree={_flag(validation.agree)}"
     )
-    _report("oracle", label, graph, validation.to_json_dict(), timings, json_indent, summary)
+    _report("oracle", label, graph, validation.to_json_dict(), timings, summary)
 
 
 @main.command(
@@ -285,9 +273,8 @@ def cmd_oracle(named, param, graph_path, json_indent):
     _option("--graph", dest="graph_path", metavar="FILE", type=_path(True), required=True, help="Graph file."),
     _option("--labeling", dest="labeling_path", metavar="FILE", type=_path(True), required=True,
             help="Labeling JSON file."),
-    _json_indent,
 )
-def cmd_verify(graph_path, labeling_path, json_indent):
+def cmd_verify(graph_path, labeling_path):
     """Verify a user-supplied labeling against a graph."""
     from .labeling import verify_iasi
     t0 = time.perf_counter()
@@ -301,7 +288,7 @@ def cmd_verify(graph_path, labeling_path, json_indent):
         f"edge_injective={_flag(result.edge_injective)} weak={_flag(result.weak)}"
     )
     timings = {"load": t1 - t0, "verify": t2 - t1, "total": t2 - t0}
-    _report("verify", os.path.basename(graph_path), graph, result.to_json_dict(), timings, json_indent, summary)
+    _report("verify", os.path.basename(graph_path), graph, result.to_json_dict(), timings, summary)
 
 
 if __name__ == "__main__":

@@ -123,18 +123,10 @@ class TestSparingCommand:
         report = payload(run_cli("sparing", "--graph", str(path)))
         assert report["results"]["phi"] == 0
 
-    def test_json_indent_zero_is_compact(self):
-        result = run_cli("sparing", "--named", "cycle", "--param", "4", "--json-indent", "0")
-        assert result.exit_code == 0
-        assert len(result.stdout.strip().splitlines()) == 1
-
-    def test_json_indent_at_most_sixteen(self):
-        lines = run_cli("sparing", "--named", "cycle", "--param", "4", "--json-indent", "16").stdout.splitlines()
-        assert lines[1].startswith(" " * 16 + '"') and not lines[1].startswith(" " * 17)
-        # a negative indent stays compact
-        result = run_cli("sparing", "--named", "cycle", "--param", "4", "--json-indent", "-5")
-        assert result.exit_code == 0
-        assert len(result.stdout.strip().splitlines()) == 1
+    def test_report_is_sorted_json_indented_by_two(self):
+        for args in (("named",), ("sparing", "--named", "cycle", "--param", "4"), ("check-theorems", "--named", "petersen")):
+            out = run_cli(*args).stdout
+            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", args
 
     def test_requires_exactly_one_source(self):
         assert run_cli("sparing").exit_code != 0
@@ -298,18 +290,18 @@ class TestUsage:
         assert result.exit_code == 2
         assert "--param only applies to --named families" in result.stderr
 
-    def test_json_indent_above_sixteen_is_a_usage_error(self, monkeypatch):
-        # at 10**9 the report would take some 10**11 bytes, so no command may run
+    def test_json_indent_option_is_a_usage_error(self, monkeypatch):
+        # the one output format is indent 2; no command may run
         def no_run(**params):
             raise AssertionError("command ran")
 
         for command in main.commands.values():
             monkeypatch.setattr(command, "callback", no_run)
         for args in (["named"], ["sparing", "--named", "petersen"], ["check-theorems", "--named", "petersen"]):
-            for indent in ("17", "1000000000"):
+            for indent in ("0", "1000000000"):
                 result = run_cli(*args, "--json-indent", indent)
                 assert (result.exit_code, result.stdout) == (2, ""), args
-                assert "--json-indent is at most 16" in result.stderr
+                assert result.stderr.endswith(f"error: unrecognized arguments: --json-indent {indent}\n"), args
 
     def test_missing_command_is_a_usage_error(self, monkeypatch):
         for args in ((), ("cover",), ("--", "named")):
@@ -339,8 +331,8 @@ class TestUsage:
     def test_dispatch_looks_the_callback_up_at_call_time(self, monkeypatch):
         calls = []
         monkeypatch.setattr(main.commands["named"], "callback", lambda **params: calls.append(params))
-        assert main.main(args=["named", "--json-indent", "0"], standalone_mode=False) is None
-        assert calls == [{"json_indent": 0}]
+        assert main.main(args=["named"], standalone_mode=False) is None
+        assert calls == [{}]
 
 
 class TestCheckTheoremsCommand:

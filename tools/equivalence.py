@@ -66,21 +66,22 @@ _ON_GRAPH = ("sparing", "check-theorems", "oracle")
 # built.json holds the labeling that "sparing --named petersen --labeling" builds in the same tree
 INVOCATIONS = [tuple(line.split()) for line in (
     "--version", "--help", *(f"{c} --help" for c in (*_ON_GRAPH, "verify", "named")),
-    "named", "named --json-indent 0",
+    "named",
     # the oracle stops at 7 vertices, below every named graph
     *(f"{c} --named {g}" for c in _ON_GRAPH[:2] for g in ("petersen", "frucht", "grotzsch", "durer", "dodecahedron")),
     *(f"{c} --named {f} --param 5" for c in _ON_GRAPH for f in ("cycle", "path", "complete", "star")),
     "sparing --named CYCLE --param 5", "check-theorems --named cycle --param 26",
     "sparing --named petersen --labeling", "sparing --named cycle --param 5 --labeling --dot c5.dot",
     "sparing --graph named.json --dot named.dot",
-    *(f"sparing --named petersen --json-indent {k}" for k in (0, 4, 16, -5)),
     *(f"{c} --graph {f}" for c in _ON_GRAPH for f in ("c4.txt", "c4.json", "petersen.json")),
     "verify --graph petersen.json --labeling built.json", "verify --graph c4.json --labeling broken.json",
     # exit 2: usage errors
     "", "-x sparing --named petersen", "-x sparing --nam petersen", "-x sparing -h", "-x -y named",
     "sparing", "sparing --param 5", "sparing --nam petersen",
     "sparing --named petersen --graph c4.txt", "sparing --named petersen --label", "verify --grap g.json",
-    "sparing --named petersen --json-indent 17", "check-theorems --named frucht --threads 2", "named --threads 2",
+    # retired options: --json-indent (every report is indented by 2) and --threads
+    "named --json-indent 0", *(f"sparing --named petersen --json-indent {k}" for k in (0, 4, 16, 17, -5)),
+    "check-theorems --named frucht --threads 2", "named --threads 2",
     "sparing --graph c4.txt --param 4", *(f"{c} --graph ." for c in _ON_GRAPH), "sparing --named petersen --dot .",
     "sparing --graph absent.json", "verify --graph absent.json --labeling c4.json",
     *(f"verify --graph c4.json --labeling {f}" for f in ("absent.json", ".")),
