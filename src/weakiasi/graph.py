@@ -84,6 +84,12 @@ class Graph(namedtuple("Graph", "n edges adj names")):
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _check_graph(graph) -> None:
+    """The one check of a ``graph`` argument: anything but a ``Graph`` raises ``ValueError``."""
+    if not isinstance(graph, Graph):
+        raise ValueError(f"graph must be a Graph, got {type(graph).__name__}")
+
+
 def _plain_decimal(text) -> int:
     """``text`` as a non-negative integer, if it is a string in canonical decimal.
 
@@ -329,6 +335,7 @@ def decompose_into_cycles(graph: Graph) -> tuple[tuple[int, ...], ...]:
     smallest unused neighbor; the first repeated vertex closes a cycle, whose
     edges are removed, and the walk goes on from that vertex.
     """
+    _check_graph(graph)
     for v, d in enumerate(graph.degrees()):
         if d % 2:
             raise NotEulerianError(v, d)
@@ -359,6 +366,7 @@ def decompose_into_cycles(graph: Graph) -> tuple[tuple[int, ...], ...]:
 
 def connected_components(graph: Graph) -> tuple[tuple[int, ...], ...]:
     """Vertex sets of the connected components, each sorted, ordered by smallest member."""
+    _check_graph(graph)
     adj = graph.adj
     left = (1 << graph.n) - 1
     components: list[tuple[int, ...]] = []
@@ -376,6 +384,7 @@ def connected_components(graph: Graph) -> tuple[tuple[int, ...], ...]:
 
 
 def degree_stats(graph: Graph) -> dict:
+    _check_graph(graph)
     degs = graph.degrees()
     return {
         "n": graph.n,

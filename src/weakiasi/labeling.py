@@ -14,7 +14,7 @@ from collections.abc import Iterable, Mapping
 from functools import lru_cache
 
 from .errors import MissingLabelError, NotIndependentError, NotWeakError, TooLargeError
-from .graph import Edge, Graph, _to_json, by_vertex_id
+from .graph import Edge, Graph, _check_graph, _to_json, by_vertex_id
 
 Label = tuple[int, ...]
 
@@ -132,9 +132,10 @@ def verify_iasi(graph: Graph, labeling: IasiLabeling) -> LabelingReport:
     labeled vertex the graph does not have, so a labeling made for another
     graph does not pass. Raises ``ValueError`` too when the edge sumsets need
     more than ``SUMSET_WORK_LIMIT`` additions (|f(u)| * |f(v)| summed over the
-    edges), before forming any of them, and when ``labeling`` is not an
-    ``IasiLabeling``.
+    edges), before forming any of them, and when ``graph`` is not a ``Graph``
+    or ``labeling`` is not an ``IasiLabeling``.
     """
+    _check_graph(graph)
     if not isinstance(labeling, IasiLabeling):
         raise ValueError(f"labeling must be an IasiLabeling, got {type(labeling).__name__}")
     extra = [v for v in labeling.vertex_labels if not 0 <= v < graph.n]
@@ -212,6 +213,7 @@ def _spread_values(count: int) -> tuple[int, ...]:
 
 def _vertex_set(graph: Graph, vertices: Iterable[int]) -> set[int]:
     """``vertices`` as a set of vertex ids of ``graph``; anything else raises ``ValueError``."""
+    _check_graph(graph)
     chosen = _listed(vertices, "a vertex set")
     for v in chosen:
         # type() rather than isinstance(): True would pass for vertex 1

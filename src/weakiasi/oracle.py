@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import TooLargeError
-from .graph import Graph, _to_json
+from .graph import Graph, _check_graph, _to_json
 from .labeling import IasiLabeling, pattern_labeling, verify_iasi
 from .solvers import sparing_number_exact
 
@@ -21,6 +21,7 @@ def sparing_oracle(graph: Graph) -> tuple[int, IasiLabeling]:
     makes this an independent route to the optimum. The all-singleton pattern
     is always feasible, so a minimum always exists.
     """
+    _check_graph(graph)
     if graph.n > ORACLE_VERTEX_LIMIT:
         raise TooLargeError("sparing oracle", graph.n, ORACLE_VERTEX_LIMIT)
     best_count: int | None = None

@@ -6,7 +6,8 @@ its docstring states. φ, α and the maximum cut take the lexicographically
 smallest optimum (as sorted vertex or edge id lists), β the complement of
 α's, and ν and χ the first of their search (ν on P3 gives ``((1, 2),)``, χ on
 P4 the classes ``((1, 3), (0, 2))``). Inputs beyond the documented limits
-raise ``TooLargeError`` rather than degrading to heuristics.
+raise ``TooLargeError`` rather than degrading to heuristics, and a ``graph``
+that is not a ``Graph`` raises ``ValueError``.
 
 Each connected component is solved in place by a kernel, ``kernel(graph,
 members, *args)``, which takes the graph and the component's vertex mask in
@@ -20,7 +21,7 @@ Each graph is solved once: ``_per_component`` is a ``functools.lru_cache``
 (a ``Graph`` hashes by ``adj``) of a graph's component masks and, per kernel
 and ``args``, the kernel's answers per component. A ``check-theorems`` graph
 takes six entries and ``check_union_formula`` two for each of four graphs,
-hence eight. The public functions check their limit before the lookup, so a
+hence eight. The public functions check their graph and its limit before the lookup, so a
 ``TooLargeError`` is raised on every call and never cached, and build their
 results from the cached answers on every call, so no caller gets another's
 mutable labeling.
@@ -32,7 +33,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .errors import TooLargeError
-from .graph import Edge, Graph, _bits, _to_json, connected_components
+from .graph import Edge, Graph, _bits, _check_graph, _to_json, connected_components
 from .labeling import construct_labeling
 
 SOLVER_VERTEX_LIMIT = 32
@@ -49,6 +50,7 @@ def _per_component(graph: Graph, kernel=None, *args) -> tuple:
 
 
 def _require(graph: Graph, limit: int, what: str) -> None:
+    _check_graph(graph)
     if graph.n > limit:
         raise TooLargeError(what, graph.n, limit)
 

@@ -13,7 +13,7 @@ from collections import namedtuple
 from collections.abc import Mapping
 
 from .errors import NotEulerianError, TooLargeError
-from .graph import Graph, _to_json, build_graph, connected_components, decompose_into_cycles
+from .graph import Graph, _check_graph, _to_json, build_graph, connected_components, decompose_into_cycles
 from .labeling import construct_labeling
 from .solvers import (
     chromatic_number,
@@ -38,6 +38,7 @@ class TheoremReport(namedtuple("TheoremReport", "theorem inputs lhs rhs verdict 
 
 
 def _describe(graph: Graph) -> dict:
+    _check_graph(graph)
     return {"n": graph.n, "m": graph.m}
 
 
@@ -116,6 +117,8 @@ def check_union_formula(
     intersection is the empty graph, whose phi is 0. ``shared`` that is
     neither a mapping nor ``None`` raises ``ValueError``.
     """
+    _check_graph(g1)
+    _check_graph(g2)
     if not (shared is None or isinstance(shared, Mapping)):
         raise ValueError(f"shared must be a mapping of vertex ids, got {type(shared).__name__}")
     shared = dict(shared or {})

@@ -17,8 +17,10 @@ from weakiasi import (
     WeakIasiError,
     build_graph,
     complete_graph,
+    connected_components,
     construct_labeling,
     cycle_graph,
+    decompose_into_cycles,
     make_label,
     max_bipartite_subgraph,
     mono_indexed_edges,
@@ -31,7 +33,8 @@ from weakiasi import (
     sumset,
     verify_iasi,
 )
-from weakiasi.oracle import cross_validate
+from weakiasi.graph import degree_stats
+from weakiasi.oracle import cross_validate, sparing_oracle
 from weakiasi.theorems import check_union_formula, run_all_checkers
 
 SRC = Path(weakiasi.__file__).resolve().parents[1]
@@ -243,6 +246,19 @@ MALFORMED = {
         "shared must be a mapping .*, got list",
     ),
     "shared int": (lambda: check_union_formula(P3, K2, shared=5), "shared must be a mapping .*, got int"),
+    # a graph argument that is not a Graph, refused by graph._check_graph
+    "sparing_number_exact graph": (lambda: sparing_number_exact([(0, 1)]), "graph must be a Graph, got list"),
+    "verify_iasi graph": (
+        lambda: verify_iasi(5, IasiLabeling({0: [0], 1: [1]})),
+        "graph must be a Graph, got int",
+    ),
+    "run_all_checkers graph": (lambda: run_all_checkers(None), "graph must be a Graph, got NoneType"),
+    "construct_labeling graph": (lambda: construct_labeling(None, [0]), "graph must be a Graph, got NoneType"),
+    "decompose_into_cycles graph": (lambda: decompose_into_cycles(3), "graph must be a Graph, got int"),
+    "connected_components graph": (lambda: connected_components("x"), "graph must be a Graph, got str"),
+    "check_union_formula graph": (lambda: check_union_formula(P3, 5), "graph must be a Graph, got int"),
+    "sparing_oracle graph": (lambda: sparing_oracle({"n": 2}), "graph must be a Graph, got dict"),
+    "degree_stats graph": (lambda: degree_stats((2, ((0, 1),))), "graph must be a Graph, got tuple"),
     **{
         f"spread_values {count!r}": (
             lambda count=count: spread_values(count),
