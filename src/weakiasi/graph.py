@@ -137,11 +137,11 @@ def build_graph(
     """Validate and build a graph on vertices ``0..n-1``.
 
     Edges are normalized to ``u < v``. Raises ``ValueError`` if ``n`` or an id
-    is not an ``int``, ``edges`` is not iterable or an edge is not a pair,
-    ``InvalidEdgeError`` on loops, out-of-range ids, or duplicates,
-    ``IsolatedVertexError`` if any vertex ends up with degree 0, and
-    ``TooLargeError`` above ``GRAPH_VERTEX_LIMIT`` vertices. ``names``, if
-    not ``None``, must be a mapping (see ``by_vertex_id``) of existing
+    is not an ``int``, ``edges`` is not iterable or an edge is not a pair (a
+    mapping is neither), ``InvalidEdgeError`` on loops, out-of-range ids, or
+    duplicates, ``IsolatedVertexError`` if any vertex ends up with degree 0,
+    and ``TooLargeError`` above ``GRAPH_VERTEX_LIMIT`` vertices. ``names``,
+    if not ``None``, must be a mapping (see ``by_vertex_id``) of existing
     vertices to ``str`` aliases; anything else raises ``ValueError``.
     """
     # type() rather than isinstance(): True and False are ints too
@@ -149,13 +149,15 @@ def build_graph(
         raise ValueError(f'vertex count "n" must be an integer, got {n!r}')
     if n < 0:
         raise ValueError("vertex count must be non-negative")
-    if not isinstance(edges, Iterable):
+    if not isinstance(edges, Iterable) or isinstance(edges, Mapping):
         raise ValueError(f"edges must be an iterable of pairs, got {type(edges).__name__}")
     normalized: list[Edge] = []
     seen: set[Edge] = set()
     for edge in edges:
         try:
-            u, v = edge
+            # a mapping would unpack into its keys; the type test spares the
+            # usual tuples and lists the ABC test, which costs more per edge
+            u, v = () if type(edge) not in (tuple, list) and isinstance(edge, Mapping) else edge
         except (TypeError, ValueError):
             raise ValueError(f"an edge must be a pair of vertex ids, got {edge!r}") from None
         if type(u) is not int or type(v) is not int:

@@ -25,18 +25,21 @@ SUMSET_WORK_LIMIT = 2_000_000
 
 
 def _listed(values, what: str) -> tuple:
-    """``values`` as a tuple; ``ValueError`` naming ``what`` if it is not iterable."""
-    try:
-        return tuple(values)
-    except TypeError:
-        raise ValueError(f"{what} must be a list of integers, got {values!r}") from None
+    """``values`` as a tuple; ``ValueError`` naming ``what`` if it is a mapping or not iterable."""
+    # a mapping would be read by its keys
+    if not isinstance(values, Mapping):
+        try:
+            return tuple(values)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be a list of integers, got {values!r}")
 
 
 def make_label(values: Iterable[int]) -> Label:
     """Normalize to a sorted, duplicate-free label.
 
-    Raises ``ValueError`` if ``values`` is not iterable, or is empty, or holds
-    a negative number or anything that is not an ``int``.
+    Raises ``ValueError`` if ``values`` is a mapping or not iterable, or is
+    empty, or holds a negative number or anything that is not an ``int``.
     """
     values = _listed(values, "a set-label")
     # type() rather than isinstance(): bool is a subclass of int

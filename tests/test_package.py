@@ -234,6 +234,21 @@ MALFORMED = {
         r"an edge must be a pair of vertex ids, got \(0, 1, 2\)",
     ),
     "edges not iterable": (lambda: build_graph(3, 5), "edges must be an iterable of pairs, got int"),
+    # a mapping iterates over its keys, so each of these used to be read by them
+    "edges a mapping": (lambda: build_graph(2, {(0, 1): "x"}), "edges must be an iterable of pairs, got dict"),
+    "edge a mapping": (
+        lambda: build_graph(2, [{0: "x", 1: "y"}]),
+        "an edge must be a pair of vertex ids, got {0: 'x', 1: 'y'}",
+    ),
+    "make_label mapping": (lambda: make_label({3: "a"}), "a set-label must be a list of integers, got {3: 'a'}"),
+    "label a mapping": (
+        lambda: IasiLabeling({0: {1: [1]}}),
+        r"label of vertex 0: a set-label must be a list of integers, got {1: \[1\]}",
+    ),
+    "vertex set a mapping": (
+        lambda: construct_labeling(P3, {0: True}),
+        "a vertex set must be a list of integers, got {0: True}",
+    ),
     "verify_iasi": (lambda: verify_iasi(P3, {0: [1]}), "labeling must be an IasiLabeling, got dict"),
     "mono_indexed_edges": (
         lambda: mono_indexed_edges(P3, {0: [1]}),
@@ -273,3 +288,9 @@ MALFORMED = {
 def test_malformed_argument_is_value_error(call, message):
     with pytest.raises(ValueError, match=f"{message}$"):
         call()
+
+
+def test_a_set_is_a_label_and_a_vertex_set():
+    # a set-label is a set, so only mappings are refused
+    assert make_label({3, 1}) == (1, 3)
+    assert construct_labeling(P3, {2, 0}) == construct_labeling(P3, [0, 2])
