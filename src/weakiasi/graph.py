@@ -280,7 +280,6 @@ _CORPUS = {
     "star": star_graph,
 }
 NAMED_GRAPHS = tuple(name for name in _CORPUS if name not in _FAMILIES)
-GRAPH_FAMILIES = tuple(_FAMILIES)
 
 
 def named_graph(name: str, param: int | None = None) -> Graph:
