@@ -179,6 +179,8 @@ class TestConstruction:
         labeling = construct_labeling(g, (0, 2))
         assert verify_iasi(g, labeling).valid_weak
         assert mono_indexed_edges(g, labeling) == ()
+        # a set is a vertex set too; only a mapping is refused
+        assert construct_labeling(g, {2, 0}) == labeling
 
     def test_c5_leaves_exactly_one_mono_edge(self):
         g = cycle_graph(5)

@@ -288,9 +288,3 @@ MALFORMED = {
 def test_malformed_argument_is_value_error(call, message):
     with pytest.raises(ValueError, match=f"{message}$"):
         call()
-
-
-def test_a_set_is_a_label_and_a_vertex_set():
-    # a set-label is a set, so only mappings are refused
-    assert make_label({3, 1}) == (1, 3)
-    assert construct_labeling(P3, {2, 0}) == construct_labeling(P3, [0, 2])
