@@ -124,7 +124,11 @@ class TestSparingCommand:
         assert report["results"]["phi"] == 0
 
     def test_report_is_sorted_json_indented_by_two(self):
-        for args in (("named",), ("sparing", "--named", "cycle", "--param", "4"), ("check-theorems", "--named", "petersen")):
+        for args in (
+            ("named",),
+            ("sparing", "--named", "cycle", "--param", "4"),
+            ("check-theorems", "--named", "petersen"),
+        ):
             out = run_cli(*args).stdout
             assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", args
 
@@ -291,7 +295,7 @@ class TestUsage:
         assert "--param only applies to --named families" in result.stderr
 
     def test_json_indent_option_is_a_usage_error(self, monkeypatch):
-        # the one output format is indent 2; no command may run
+        # the option is gone, so it is an unknown argument, and no command may run
         def no_run(**params):
             raise AssertionError("command ran")
 

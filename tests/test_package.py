@@ -234,7 +234,7 @@ MALFORMED = {
         r"an edge must be a pair of vertex ids, got \(0, 1, 2\)",
     ),
     "edges not iterable": (lambda: build_graph(3, 5), "edges must be an iterable of pairs, got int"),
-    # a mapping iterates over its keys, so each of these used to be read by them
+    # a mapping iterates over its keys, so it is no edge list, edge, label or vertex set
     "edges a mapping": (lambda: build_graph(2, {(0, 1): "x"}), "edges must be an iterable of pairs, got dict"),
     "edge a mapping": (
         lambda: build_graph(2, [{0: "x", 1: "y"}]),
