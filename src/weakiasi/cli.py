@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from . import __version__, io
 from .errors import TooLargeError, WeakIasiError
@@ -67,25 +68,17 @@ def _graph_source(parser) -> None:
     parser.add_argument("--param", metavar="N", type=int, help="Family parameter, e.g. cycle size.")
 
 
-class _Command:
-    """One subcommand: its help, its options, and the function that runs it."""
-
-    def __init__(self, callback, options):
-        self.callback = callback
-        self.help = callback.__doc__
-        self.options = options
-
-
 class _Main:
     """The ``weakiasi`` program: subcommands by name, and one dispatch that builds one parser per command line."""
 
     def __init__(self, description: str):
         self.description = description
-        self.commands: dict[str, _Command] = {}
+        # each command: the function that runs it, its help and its options
+        self.commands: dict[str, SimpleNamespace] = {}
 
     def command(self, name: str, *options):
         def register(fn):
-            self.commands[name] = _Command(fn, options)
+            self.commands[name] = SimpleNamespace(callback=fn, help=fn.__doc__, options=options)
             return fn
 
         return register

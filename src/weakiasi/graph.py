@@ -1,9 +1,10 @@
 """Immutable simple graphs with bit-vector adjacency and a canonical named-graph corpus.
 
 Vertex ids are dense integers ``0..n-1``; an optional name map, ``names``,
-attaches aliases for reports. Every graph is validated on construction (no
-loops, no parallel edges, no isolated vertices) and never mutated afterwards,
-so instances are safe to share. The module also finds components and cycle
+attaches aliases for reports. Every graph is made by ``build_graph``, which
+validates it (no loops, no parallel edges, no isolated vertices); ``_replace``
+and ``_make`` go through ``build_graph`` too. A graph is never mutated
+afterwards, so instances are safe to share. The module also finds components and cycle
 decompositions; the relation checkers test their own hypotheses.
 
 Each record, ``Graph`` among them, is one subclass of a ``collections.namedtuple``
@@ -76,6 +77,13 @@ class Graph(namedtuple("Graph", "n edges adj names")):
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
+
+    # namedtuple's own _make calls tuple.__new__, skipping every check; its _replace calls this
+    # one, so a replaced graph is rebuilt by build_graph and its adj derived from its edges
+    @classmethod
+    def _make(cls, iterable) -> Graph:
+        n, edges, _adj, names = iterable
+        return build_graph(n, edges, names)
 
     def __hash__(self) -> int:
         return hash(self.adj)
