@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 
-from .graph import Edge, Graph, _plain_decimal, build_graph
+from .graph import Edge, Graph, _check_graph, _plain_decimal, build_graph
 from .labeling import IasiLabeling
 
 
@@ -42,13 +42,19 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def dump_edge_list(graph: Graph) -> str:
+    """The edge-list text of ``graph``; anything but a ``Graph`` raises ``ValueError``."""
+    _check_graph(graph)
     lines = [f"{graph.n} {graph.m}"]
     lines.extend(f"{u} {v}" for u, v in graph.edges)
     return "\n".join(lines) + "\n"
 
 
 def dump_graph_json(graph: Graph) -> str:
-    """Canonical single-line JSON: sorted keys, edges sorted with u < v."""
+    """Canonical single-line JSON: sorted keys, edges sorted with u < v.
+
+    Anything but a ``Graph`` raises ``ValueError``.
+    """
+    _check_graph(graph)
     out: dict = {"n": graph.n, "edges": [list(e) for e in graph.edges]}
     if graph.names:
         out["names"] = {str(v): graph.names[v] for v in sorted(graph.names)}
@@ -107,6 +113,9 @@ def load_graph(path: str) -> Graph:
 
 
 def dump_labeling_json(labeling: IasiLabeling) -> str:
+    """Single-line JSON of ``labeling``; anything but an ``IasiLabeling`` raises ``ValueError``."""
+    if not isinstance(labeling, IasiLabeling):
+        raise ValueError(f"labeling must be an IasiLabeling, got {type(labeling).__name__}")
     return json.dumps(labeling.to_json_dict(), sort_keys=True)
 
 
@@ -127,8 +136,13 @@ def to_dot(graph: Graph, edge_classes: Mapping[Edge, str] | None = None) -> str:
 
     ``edge_classes`` maps edges (u < v) to their class; unmapped edges are
     "plain". Vertices with aliases get a ``label`` attribute, with ``\\`` and
-    ``"`` escaped so that no alias can end its string.
+    ``"`` escaped so that no alias can end its string. ``ValueError`` if
+    ``graph`` is not a ``Graph`` or ``edge_classes`` is neither ``None`` nor a
+    mapping.
     """
+    _check_graph(graph)
+    if not (edge_classes is None or isinstance(edge_classes, Mapping)):
+        raise ValueError(f"edge_classes must be a mapping of edges, got {type(edge_classes).__name__}")
     classes = edge_classes or {}
     lines = ["graph G {"]
     for v in range(graph.n):

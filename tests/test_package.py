@@ -33,7 +33,8 @@ from weakiasi import (
     sumset,
     verify_iasi,
 )
-from weakiasi.graph import degree_stats
+from weakiasi.graph import Graph, degree_stats
+from weakiasi.io import dump_edge_list, dump_graph_json, dump_labeling_json, to_dot
 from weakiasi.oracle import cross_validate, sparing_oracle
 from weakiasi.theorems import check_union_formula, run_all_checkers
 
@@ -152,6 +153,21 @@ def test_labeling_keys_are_checked_and_normalized():
     assert weakiasi.IasiLabeling._make([{"1": [3, 3]}]).vertex_labels == {1: (3,)}
     with pytest.raises(ValueError):
         labeling._replace(vertex_labels={"+1": [1]})
+
+
+def test_graph_copy_constructors_go_through_build_graph():
+    # the named tuple's own _make and _replace would skip every check, and keep
+    # an adj that no longer matches the edges
+    with pytest.raises(ValueError):
+        named_graph("petersen")._replace(names={0: 5})
+    with pytest.raises(weakiasi.IsolatedVertexError):
+        cycle_graph(4)._replace(edges=((0, 1),))
+    with pytest.raises(weakiasi.InvalidEdgeError):
+        cycle_graph(4)._replace(n=2)
+    g = cycle_graph(4)
+    named = g._replace(names={0: "a"})
+    assert named.adj == g.adj and named.names == {0: "a"}
+    assert Graph._make(tuple(g)) == g
 
 
 def test_every_export_is_bound_at_import_and_comes_from_a_core_module():
@@ -274,6 +290,14 @@ MALFORMED = {
     "check_union_formula graph": (lambda: check_union_formula(P3, 5), "graph must be a Graph, got int"),
     "sparing_oracle graph": (lambda: sparing_oracle({"n": 2}), "graph must be a Graph, got dict"),
     "degree_stats graph": (lambda: degree_stats((2, ((0, 1),))), "graph must be a Graph, got tuple"),
+    "dump_edge_list graph": (lambda: dump_edge_list([(0, 1)]), "graph must be a Graph, got list"),
+    "dump_graph_json graph": (lambda: dump_graph_json({"n": 2}), "graph must be a Graph, got dict"),
+    "to_dot graph": (lambda: to_dot(None), "graph must be a Graph, got NoneType"),
+    "to_dot edge_classes": (
+        lambda: to_dot(P3, [((0, 1), "mono")]),
+        "edge_classes must be a mapping of edges, got list",
+    ),
+    "dump_labeling_json": (lambda: dump_labeling_json({}), "labeling must be an IasiLabeling, got dict"),
     **{
         f"spread_values {count!r}": (
             lambda count=count: spread_values(count),
