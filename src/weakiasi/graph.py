@@ -4,8 +4,8 @@ Vertex ids are dense integers ``0..n-1``; an optional name map, ``names``,
 attaches aliases for reports. Every graph is made by ``build_graph``, which
 validates it (no loops, no parallel edges, no isolated vertices); ``_replace``
 and ``_make`` go through ``build_graph`` too. A graph is never mutated
-afterwards, so instances are safe to share. The module also finds components and cycle
-decompositions; the relation checkers test their own hypotheses.
+afterwards, so instances are safe to share. The module also finds components
+and cycle decompositions; the relation checkers test their own hypotheses.
 
 Each record, ``Graph`` among them, is one subclass of a ``collections.namedtuple``
 with ``__slots__ = ()``, holding its docstring, methods and any normalizing
